@@ -273,15 +273,20 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
     """Run a scenario's Monte-Carlo batch and aggregate it.
 
     Run k uses seed base_seed + k; per-run estimator failures are recorded
-    in the run's row rather than aborting the batch.  `runs` and `samples`
-    override the scenario's counts (the CLI default of 100 runs keeps
-    batches fast; scenario files carry the full counts).
+    in the run's row rather than aborting the batch.  A target module the
+    model lacks fails every run the same way, so it raises before any run
+    starts.  `runs` and `samples` override the scenario's counts (the CLI
+    default of 100 runs keeps batches fast; scenario files carry the full
+    counts).
     """
     n_runs = runs if runs is not None else scenario.runs
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
     j, i = scenario.target
+    if not model.has_edge(j, i):
+        raise ValueError(f"scenario {scenario.id}: target module ({j},{i}) "
+                         f"is not an edge of the model")
 
     if scenario.method == "direct":
         structure = DirectModelStructure.from_model(model, j)

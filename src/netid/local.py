@@ -19,6 +19,11 @@ estimated open-loop (excitations are external, so w regressed on r is an
 ordinary MISO problem) as high-order FIR models, evaluated on a frequency
 grid, and the solved samples are finally reduced to the low-order module
 coefficients by linear least squares.
+
+The FIR regression never builds its regressor: its normal equations are
+formed from FFT auto- and cross-correlations of the excitations and nodes,
+with exact window end-corrections, and the Gram's Cholesky factorization
+checks its rank before the solve.
 """
 
 from __future__ import annotations
@@ -34,6 +39,16 @@ from .tf import FreqGrid, RationalTF
 
 #: Grid points whose local solve exceeds this condition number are dropped.
 CONDITION_LIMIT = 1e10
+#: Largest Gram condition estimate max_i G_ii / L_ii^2 (G the T-entry Gram,
+#: L its Cholesky factor) before the T-entry regression is rejected as
+#: rank-deficient.  G_ii / L_ii^2 is 1 / (1 - R^2) of regressor column i on
+#: the columns before it, so 1e10 rejects a column whose independent part
+#: has less than 1e-5 of its norm.  lstsq on the regressor cut singular
+#: values below eps * max(rows, cols) of the largest, about 1e-12 at 1e4
+#: rows; that tolerance cannot carry over, because the Gram squares the
+#: regressor's condition and is formed only to about 1e-15 relative, so an
+#: exactly singular Gram can factor with estimates as low as 1e14.
+GRAM_CONDITION_LIMIT = 1e10
 #: Fraction of droppable grid points beyond which the solve is rejected.
 MAX_DROP_FRACTION = 0.2
 #: Default FIR order for the T-entry estimates (lags 0..order).
@@ -169,6 +184,45 @@ class TSubmatrixEstimate:
         return RationalTF(self.coefficients[r, c])
 
 
+def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations of the FIR regression of w on lags 0..P of r.
+
+    r is (C, N) excitations, w is (M, N) outputs.  The regressor Phi has one
+    row per sample t = P..N-1 and one column r_c[t - l] per excitation c and
+    lag l (c major), but is never built.  Returns the Gram Phi^T Phi and the
+    right-hand side Phi^T Y, one column per output.
+
+    Phi^T Y and the first block row of the Gram are windowed correlations,
+    sum over t = P..N-1 of x[t] r_c[t - l], read off the product of the real
+    FFTs of x, zeroed before t = P, and of r_c.  Every other Gram entry
+    follows from the one above-left by the exact window end-correction
+        G[l+1, l'+1] = G[l, l'] + r_c[P-1-l] r_c'[P-1-l']
+                                - r_c[N-1-l] r_c'[N-1-l'],
+    the sample pair entering the window minus the pair leaving it, so the
+    result equals Phi^T Phi, not a circular approximation of it.
+    """
+    C, N = r.shape
+    n_fft = 1 << (N - 1).bit_length()
+    windowed = np.concatenate([r, w])
+    windowed[:, :P] = 0.0
+    # t - l >= 0 for t >= P and l <= P: the circular correlation never wraps
+    R = np.fft.rfft(r, n_fft)
+    xc = np.fft.irfft(np.fft.rfft(windowed, n_fft)[:, None, :] * R.conj(),
+                      n_fft)[..., :P + 1]  # (C + M, C, P + 1)
+    gram = np.empty((C, P + 1, C, P + 1))
+    gram[:, 0] = xc[:C]
+    gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
+    head = r[:, :P][:, ::-1]  # r_c[P-1-l], l = 0..P-1
+    tail = r[:, ::-1][:, :P]  # r_c[N-1-l]
+    step = np.multiply.outer(head, head) - np.multiply.outer(tail, tail)
+    for lag in range(P):
+        gram[:, lag + 1, :, 1:] = gram[:, lag, :, :-1] + step[:, lag]
+    n_params = C * (P + 1)
+    rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
+    return gram.reshape(n_params, n_params), rhs
+
+
 def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
                        cols: Iterable[int],
                        fir_order: int = DEFAULT_FIR_ORDER,
@@ -179,6 +233,13 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     every column node's excitation r_l (ordinary least squares; the
     excitations are external and known, so this is an open-loop problem
     regardless of the network's feedback loops).
+
+    The least-squares estimate solves the normal equations, formed from the
+    excitations' auto- and cross-correlations and the excitation-to-node
+    correlations (see _normal_equations) without building the regressor.
+    The Gram's Cholesky factorization is the rank check, and the fit scores
+    come from the FFT convolution of the excitations with the estimated FIR
+    coefficients.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -199,29 +260,41 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     if N <= P:
         raise ValueError(f"record too short: {N} samples <= FIR order {P}")
     n_params = len(col_nodes) * (P + 1)
-    phi_cols = []
-    for c in col_nodes:
-        rc = record.node_excitation(c)
-        for lag in range(P + 1):
-            phi_cols.append(rc[P - lag:N - lag])
-    Phi = np.stack(phi_cols, axis=1)
-    Y = np.stack([record.node_output(m)[P:] for m in row_nodes], axis=1)
-    theta, _, rank, _ = np.linalg.lstsq(Phi, Y, rcond=None)
-    if rank < n_params:
+    if N - P < n_params:
         raise ValueError(
-            f"T-entry regressor is rank-deficient ({rank} < {n_params}); "
-            f"the column excitations are not sufficiently independent")
-
-    fits = []
-    Yhat = Phi @ theta
-    for k in range(len(row_nodes)):
-        err = np.linalg.norm(Y[:, k] - Yhat[:, k])
-        spread = np.linalg.norm(Y[:, k] - Y[:, k].mean())
-        fits.append(1.0 - err / spread if spread > 0.0 else
-                    (1.0 if err == 0.0 else 0.0))
+            f"T-entry regressor is rank-deficient ({N - P} rows < {n_params} "
+            f"parameters); the record is too short for FIR order {P}")
+    r = np.stack([record.node_excitation(c) for c in col_nodes])
+    w = np.stack([record.node_output(m) for m in row_nodes])
+    gram, rhs = _normal_equations(r, w, P)
+    try:
+        chol = np.linalg.cholesky(gram)
+        condition = float(np.max(np.diag(gram) / np.diag(chol) ** 2))
+    except np.linalg.LinAlgError:
+        condition = np.inf
+    if not condition <= GRAM_CONDITION_LIMIT:
+        raise ValueError(
+            f"T-entry regressor is rank-deficient (Gram condition estimate "
+            f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
+            f"excitations are not sufficiently independent")
+    # numpy has no triangular solve, and one LU solve of the Gram costs what
+    # one general solve against the Cholesky factor would
+    theta = np.linalg.solve(gram, rhs)
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))
+    n_fft = 1 << (N - 1).bit_length()
+    Y = w[:, P:]
+    Yhat = np.fft.irfft(
+        (np.fft.rfft(coeffs, n_fft) * np.fft.rfft(r, n_fft)).sum(axis=1),
+        n_fft)[:, P:N]  # lags reach back to t - P >= 0: no circular wrap
+    fits = []
+    for y, y_hat in zip(Y, Yhat):
+        err = np.linalg.norm(y - y_hat)
+        spread = np.linalg.norm(y - y.mean())
+        fits.append(1.0 - err / spread if spread > 0.0 else
+                    (1.0 if err == 0.0 else 0.0))
+
     om = grid.as_array()
     basis = np.exp(-1j * np.outer(om, np.arange(P + 1)))  # (K, P+1)
     values = np.einsum("rcd,kd->krc", coeffs, basis)

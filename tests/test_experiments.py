@@ -6,6 +6,7 @@ import pytest
 from netid import (ResultTable, Scenario, ScenarioFormatError, emit_results,
                    load_scenarios, read_results, run_local_pipeline,
                    run_monte_carlo)
+from netid import experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, default_network_file,
                                default_scenario_file)
@@ -164,6 +165,21 @@ class TestMonteCarlo:
         assert all(r.error is not None for r in row.runs)
         assert np.isnan(row.mean[0])
 
+    @pytest.mark.parametrize("method", ["direct", "local"])
+    def test_missing_target_edge_fails_before_any_run(self, case_study,
+                                                      monkeypatch, method):
+        # (3, 7) is not an edge: every run would fail the same way
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        scn = Scenario(id="noedge", excited_nodes=(3, 7), method=method,
+                       target=(3, 7), runs=3, samples_per_run=500,
+                       base_seed=0)
+        with pytest.raises(ValueError, match=r"target module \(3,7\) is "
+                                             r"not an edge"):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
     def test_local_method_batch(self, case_study):
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
                        target=(3, 4), runs=2, samples_per_run=2000,
@@ -307,6 +323,16 @@ class TestCLI:
                    str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_montecarlo_missing_target_edge_exits_1(self, tmp_path, capsys):
+        scn = tmp_path / "noedge.scn"
+        scn.write_text("format 1\nscenario x\n  excite 3 7\n  method direct\n"
+                       "  target 3 7\n  runs 3\n  samples 500\n  seed 0\n")
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", str(scn), "--out", str(out)])
+        assert rc == 1
+        assert "target module (3,7) is not an edge" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_target_reports_stage(self, capsys):
         rc = main(["local", "--target", "4,20", "--exact-t"])

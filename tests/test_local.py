@@ -9,6 +9,8 @@ from netid import (ExcitationSpec, FreqGrid, FreqResponseMatrix, NetworkModel,
                    simulate_inputs, solve_sink_side, solve_source_side,
                    true_T)
 
+from netid.local import _normal_equations
+
 from conftest import random_stable_network
 
 
@@ -89,6 +91,26 @@ class TestEstimateTEntries:
         with pytest.raises(ValueError, match="rank-deficient"):
             estimate_T_entries(record, rows=(2,), cols=(1, 2), fir_order=5)
 
+    def test_nearly_dependent_excitations_rejected(self, two_node_chain):
+        rng = np.random.default_rng(1)
+        r = np.zeros((2, 400))
+        r[0] = rng.standard_normal(400)
+        r[1] = r[0] + 1e-7 * rng.standard_normal(400)
+        record = simulate_inputs(two_node_chain, r)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            estimate_T_entries(record, rows=(2,), cols=(1, 2), fir_order=5)
+
+    def test_fewer_rows_than_parameters_rejected(self, two_node_chain):
+        # P < N < P + C (P + 1): fewer regression rows than parameters
+        P = 5
+        rng = np.random.default_rng(2)
+        for N in range(P + 1, P + 2 * (P + 1)):
+            record = simulate_inputs(two_node_chain,
+                                     rng.standard_normal((2, N)))
+            with pytest.raises(ValueError, match="rank-deficient"):
+                estimate_T_entries(record, rows=(2,), cols=(1, 2),
+                                   fir_order=P)
+
     def test_record_too_short(self, two_node_chain):
         record = simulate(two_node_chain, ExcitationSpec([1], N=10, seed=0))
         with pytest.raises(ValueError, match="too short"):
@@ -110,6 +132,73 @@ class TestEstimateTEntries:
         scores = est.entry_fit_scores()
         assert len(scores) == 12
         assert scores[(3, 4)] == est.fit_score(3)
+
+
+def _lstsq_reference(record, rows, cols, P):
+    """The explicit-regressor route: build Phi, solve by SVD lstsq, score
+    the fit from Phi theta."""
+    N = record.N
+    Phi = np.stack([record.node_excitation(c)[P - lag:N - lag]
+                    for c in cols for lag in range(P + 1)], axis=1)
+    Y = np.stack([record.node_output(m)[P:] for m in rows], axis=1)
+    theta, _, rank, _ = np.linalg.lstsq(Phi, Y, rcond=None)
+    assert rank == Phi.shape[1]
+    err = np.linalg.norm(Y - Phi @ theta, axis=0)
+    fits = 1.0 - err / np.linalg.norm(Y - Y.mean(axis=0), axis=0)
+    return Phi, Y, theta.T.reshape(len(rows), len(cols), P + 1), fits
+
+
+def _coloured_record(model, cols, N, seed):
+    """Excite `cols` with white noise through a different low-pass FIR
+    filter per column, so the excitations' spectra are not flat."""
+    rng = np.random.default_rng(seed)
+    r = np.zeros((model.L, N))
+    for k, c in enumerate(cols):
+        taps = (0.5 + 0.1 * k) ** np.arange(12)
+        r[c - 1] = np.convolve(rng.standard_normal(N + 11), taps,
+                               mode="valid")
+    return simulate_inputs(model, r, seed=seed)
+
+
+class TestNormalEquations:
+    """The correlation route against the explicit Phi + lstsq route."""
+
+    @pytest.fixture(params=["source_34", "sink_98", "coloured", "short"])
+    def case(self, request, case_study):
+        if request.param in ("source_34", "sink_98"):
+            target = (3, 4) if request.param == "source_34" else (9, 8)
+            plan = plan_experiment_for_model(case_study, target)
+            record = simulate(case_study,
+                              ExcitationSpec(plan.excite_set, N=2000, seed=5))
+            return record, plan.rows, plan.cols, 150
+        plan = plan_experiment_for_model(case_study, (3, 4))
+        if request.param == "coloured":
+            return (_coloured_record(case_study, plan.cols, 2000, 6),
+                    plan.rows, plan.cols, 60)
+        # N - P is 3 rows above the 4 x 21 parameters, so the end-corrections
+        # shift up to 20 of the 87 samples in each Gram entry's window
+        P = 20
+        record = simulate(case_study, ExcitationSpec(
+            plan.excite_set, N=P + 4 * (P + 1) + 3, seed=7))
+        return record, plan.rows, plan.cols, P
+
+    def test_gram_and_rhs_match_explicit_products(self, case):
+        record, rows, cols, P = case
+        Phi, Y, _, _ = _lstsq_reference(record, rows, cols, P)
+        r = np.stack([record.node_excitation(c) for c in cols])
+        w = np.stack([record.node_output(m) for m in rows])
+        gram, rhs = _normal_equations(r, w, P)
+        explicit = Phi.T @ Phi
+        assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+        cross = Phi.T @ Y
+        assert np.abs(rhs - cross).max() <= 1e-12 * np.abs(cross).max()
+
+    def test_estimate_matches_lstsq(self, case):
+        record, rows, cols, P = case
+        _, _, coeffs, fits = _lstsq_reference(record, rows, cols, P)
+        est = estimate_T_entries(record, rows, cols, fir_order=P)
+        assert np.abs(est.coefficients - coeffs).max() <= 1e-10
+        assert np.abs(np.array(est.fit_scores) - fits).max() <= 1e-12
 
 
 def _exact_T_for_plan(model, plan, n_grid=64):
