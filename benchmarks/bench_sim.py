@@ -1,28 +1,42 @@
-"""Benchmark the simulation kernel backends on the 20-node case study.
+"""Benchmark the simulation kernel on the 20-node case study.
 
-Times the numba-jitted per-sample recursion and the numpy kernel, which steps
-the network's state-space realization to the same trajectories up to roundoff;
-reports wall time per run and the speedup.  The first jitted call compiles,
-so a warm-up run precedes timing.
+Times, per sample count, `simulate` (signal generation included) and the
+kernel alone (`sim_loop_numpy` on pre-drawn inputs), best of --repeats.
+Then times one Monte-Carlo batch of 6 direct-method runs (the benchmark's
+batch size) of shipped scenario 1 on 1 and on 2 worker threads, best of
+--repeats, so that the thread pool's scaling stays measurable.
+
+BLAS is held to one thread unless the environment already sets it, so that
+worker threads, not BLAS threads, are what the batch timings compare.
 
 Usage:
     python benchmarks/bench_sim.py [--samples 2000 10000 50000] [--repeats 5]
 """
 
-import argparse
-import time
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from netid import ExcitationSpec, build_case_study, simulate
-from netid.kernels import HAVE_NUMBA
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from netid import (ExcitationSpec, build_case_study,  # noqa: E402
+                   load_scenarios, run_monte_carlo, simulate)
+from netid.experiments import default_scenario_file  # noqa: E402
+from netid.kernels import sim_loop_numpy  # noqa: E402
+from netid.sim import pack_model  # noqa: E402
+
+BATCH_RUNS = 6
 
 
-def time_backend(model, spec, backend: str, repeats: int) -> float:
+def best_of(fn, repeats: int) -> float:
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        simulate(model, spec, backend=backend)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -39,22 +53,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     model = build_case_study()
-    backends = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
-    if HAVE_NUMBA:  # compile outside the timed region
-        simulate(model, ExcitationSpec(range(1, model.L + 1), N=64,
-                                       seed=args.seed), backend="numba")
-    else:
-        print("numba not installed; timing the numpy backend only")
-
-    print(f"{'samples':>8}  " + "".join(f"{b + ' (s)':>12}" for b in backends)
-          + ("  " + f"{'speedup':>8}" if HAVE_NUMBA else ""))
+    packed = pack_model(model)
+    print(f"{'samples':>8}  {'simulate (ms)':>14}  {'kernel (ms)':>12}")
     for n in args.samples:
         spec = ExcitationSpec(range(1, model.L + 1), N=n, seed=args.seed)
-        times = [time_backend(model, spec, b, args.repeats) for b in backends]
-        row = f"{n:>8}  " + "".join(f"{t:>12.4f}" for t in times)
-        if HAVE_NUMBA:
-            row += f"  {times[0] / times[1]:>7.1f}x"
-        print(row)
+        rec = simulate(model, spec)
+        u = rec.r + rec.v
+        t_sim = best_of(lambda: simulate(model, spec), args.repeats)
+        t_kernel = best_of(lambda: sim_loop_numpy(*packed, u), args.repeats)
+        print(f"{n:>8}  {1e3 * t_sim:>14.2f}  {1e3 * t_kernel:>12.2f}")
+
+    scenario = next(s for s in load_scenarios(default_scenario_file())
+                    if s.id == "1")
+    run_monte_carlo(scenario, model, runs=2, samples=10_000, workers=1)
+    print(f"\nbatch of {BATCH_RUNS} runs x 10000 samples "
+          f"(scenario {scenario.id}, direct method)")
+    serial = None
+    for workers in (1, 2):
+        t = best_of(lambda: run_monte_carlo(scenario, model,
+                                            runs=BATCH_RUNS,
+                                            samples=10_000, workers=workers),
+                    args.repeats)
+        serial = serial or t
+        print(f"  {workers} worker thread{'s' if workers > 1 else ' '}: "
+              f"{1e3 * t:8.1f} ms  ({serial / t:.2f}x)")
     return 0
 
 

@@ -1,19 +1,18 @@
 """netid: identify a single module in a dynamic network from node signals.
 
 The package covers the full workflow: transfer-function arithmetic and
-network models (netid.tf, netid.model), closed-loop simulation with a
-compiled kernel (netid.sim, netid.kernels), exact input-output oracles
-(netid.iomap), the classical direct prediction-error method (netid.direct),
-the local two-step method that needs only a small submatrix of the network
-response (netid.local), and a reproducible experiments harness with a CLI
-(netid.experiments, netid.cli).
+network models (netid.tf, netid.model), closed-loop simulation through the
+network's state-space realization (netid.sim, netid.kernels), exact
+input-output oracles (netid.iomap), the classical direct prediction-error
+method (netid.direct), the local two-step method that needs only a small
+submatrix of the network response (netid.local), and a reproducible
+experiments harness with a CLI (netid.experiments, netid.cli).
 """
 
 from .tf import FreqGrid, PolyQ, RationalTF, is_stable, tf_arith, tf_eval
 from .model import (ExcitationSpec, NetworkFormatError, NetworkModel,
                     SignalRecord, build_case_study, load_network,
                     save_network)
-from .kernels import HAVE_NUMBA, active_backend
 from .sim import SimulationDiverged, impulse_response, simulate, simulate_inputs
 from .iomap import (FreqResponseMatrix, is_internally_stable, true_T,
                     true_T_impulse)
@@ -33,12 +32,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExcitationSpec", "DirectEstimate", "DirectModelStructure", "FreqGrid",
-    "FreqResponseMatrix", "HAVE_NUMBA", "InformativityReport",
+    "FreqResponseMatrix", "InformativityReport",
     "LocalSolveResult", "MethodChoice", "ModuleEstimate", "NetworkFormatError",
     "NetworkModel", "ParametricFit", "PolyQ", "RationalTF", "ResultTable",
     "RunResult", "Scenario", "ScenarioFormatError", "ScenarioResult",
     "SignalRecord", "SimulationDiverged", "TSubmatrixEstimate",
-    "active_backend", "build_case_study", "build_regressor", "emit_results",
+    "build_case_study", "build_regressor", "emit_results",
     "estimate_T_entries", "estimate_direct", "fit_parametric",
     "impulse_response", "informativity_diagnostic", "is_internally_stable",
     "is_stable", "load_network", "load_scenarios", "plan_experiment",

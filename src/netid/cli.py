@@ -9,10 +9,9 @@ Subcommands:
 * truth      - exact frequency responses of T (and the target module of G)
 * report     - summarize / re-render a previously emitted results.csv
 
-Exit status is 0 on success and 1 on any error; error messages carry the
-failing stage's label when one applies.  NETID_BACKEND selects the
-simulation kernel ("numba" or "numpy"); NETID_WORKERS caps Monte-Carlo
-concurrency.
+Exit status is 0 on success and 1 on any error, including a Monte-Carlo
+scenario whose every run failed; error messages carry the failing stage's
+label when one applies.  NETID_WORKERS caps Monte-Carlo concurrency.
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .direct import DirectModelStructure, estimate_direct
-from .experiments import (ResultTable, Scenario, default_network_file,
-                          default_scenario_file, emit_results, load_scenarios,
-                          read_results, run_local_pipeline, run_monte_carlo)
+from .experiments import (ResultTable, Scenario, check_target,
+                          default_network_file, default_scenario_file,
+                          emit_results, load_scenarios, read_results,
+                          run_local_pipeline, run_monte_carlo)
 from .local import plan_experiment_for_model
 from .iomap import true_T
 from .model import ExcitationSpec, load_network
@@ -91,7 +91,8 @@ def _cmd_direct(args) -> int:
     scn = _select_scenarios(args.scenario)[0]
     samples = args.samples if args.samples is not None else scn.samples_per_run
     seed = args.seed if args.seed is not None else scn.base_seed
-    j, i = scn.target
+    check_target(scn, model)
+    j = scn.target[0]
     structure = DirectModelStructure.from_model(model, j)
     spec = ExcitationSpec(scn.excited_nodes, N=samples, seed=seed,
                           r_variance=scn.r_var, v_variance=scn.v_var)
@@ -134,6 +135,7 @@ def _cmd_montecarlo(args) -> int:
     model = _load_model(args)
     scenarios = _select_scenarios(args.scenario)
     rows = []
+    all_failed = []
     for scn in scenarios:
         if args.seed is not None:
             scn = Scenario(id=scn.id, excited_nodes=scn.excited_nodes,
@@ -152,10 +154,16 @@ def _cmd_montecarlo(args) -> int:
               f"std ({s1:.4g}, {s2:.4g})  informative "
               f"{row.informative_rate:.0%}  runs {len(row.runs)}"
               + (f"  failed {row.failed_runs}" if row.failed_runs else ""))
+        if row.failed_runs == len(row.runs):
+            all_failed.append(row)
     table = ResultTable(rows=tuple(rows))
     for path in emit_results(table, args.out, format=args.format):
         print(f"wrote {path}")
-    return 0
+    for row in all_failed:
+        first = row.runs[0]
+        print(f"error: scenario {row.scenario.id}: all {len(row.runs)} runs "
+              f"failed; run {first.run}: {first.error}", file=sys.stderr)
+    return 1 if all_failed else 0
 
 
 def _cmd_truth(args) -> int:

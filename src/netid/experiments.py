@@ -264,29 +264,41 @@ def _aggregate(scenario: Scenario, results: list[RunResult]) -> ScenarioResult:
         failed_runs=sum(1 for r in results if r.error is not None))
 
 
+def check_target(scenario: Scenario, model: NetworkModel) -> None:
+    """Reject a scenario whose target module the model lacks; every run
+    of it would fail the same way."""
+    j, i = scenario.target
+    if not model.has_edge(j, i):
+        raise ValueError(f"scenario {scenario.id}: target module ({j},{i}) "
+                         f"is not an edge of the model")
+
+
+def _node_list(nodes) -> str:
+    return "{" + ",".join(map(str, sorted(nodes))) + "}"
+
+
 def run_monte_carlo(scenario: Scenario, model: NetworkModel,
                     runs: int | None = None, samples: int | None = None,
                     workers: int | None = None,
                     fir_order: int = DEFAULT_FIR_ORDER,
-                    grid_points: int = DEFAULT_GRID_POINTS,
-                    backend: str | None = None) -> ScenarioResult:
+                    grid_points: int = DEFAULT_GRID_POINTS) -> ScenarioResult:
     """Run a scenario's Monte-Carlo batch and aggregate it.
 
     Run k uses seed base_seed + k; per-run estimator failures are recorded
     in the run's row rather than aborting the batch.  A target module the
     model lacks fails every run the same way, so it raises before any run
-    starts.  `runs` and `samples` override the scenario's counts (the CLI
-    default of 100 runs keeps batches fast; scenario files carry the full
-    counts).
+    starts, and so does a local-method scenario whose excite set is not the
+    one its experiment plan excites (the plan, not the scenario, decides
+    what a local run excites).  `runs` and `samples` override the
+    scenario's counts (the CLI default of 100 runs keeps batches fast;
+    scenario files carry the full counts).
     """
     n_runs = runs if runs is not None else scenario.runs
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
+    check_target(scenario, model)
     j, i = scenario.target
-    if not model.has_edge(j, i):
-        raise ValueError(f"scenario {scenario.id}: target module ({j},{i}) "
-                         f"is not an edge of the model")
 
     if scenario.method == "direct":
         structure = DirectModelStructure.from_model(model, j)
@@ -296,19 +308,27 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
                                   seed=scenario.base_seed + k,
                                   r_variance=scenario.r_var,
                                   v_variance=scenario.v_var)
-            record = simulate(model, spec, backend=backend)
+            record = simulate(model, spec)
             est = estimate_direct(record, structure)
             coeffs = est.coefficients_for(i)
             a1 = float(coeffs[0]) if coeffs.size > 0 else math.nan
             a2 = float(coeffs[1]) if coeffs.size > 1 else math.nan
             return RunResult(run=k, a1=a1, a2=a2, informative=est.informative)
     else:
+        planned = plan_experiment_for_model(model, (j, i)).excite_set
+        if set(scenario.excited_nodes) != set(planned):
+            raise ValueError(
+                f"scenario {scenario.id}: excite "
+                f"{_node_list(scenario.excited_nodes)} differs from the local "
+                f"plan's excite set {_node_list(planned)} for target "
+                f"({j},{i})")
+
         def one_run(k: int) -> RunResult:
             est = run_local_pipeline(
                 model, scenario.target, samples=n_samples,
                 seed=scenario.base_seed + k, fir_order=fir_order,
                 grid_points=grid_points, r_var=scenario.r_var,
-                v_var=scenario.v_var, backend=backend)
+                v_var=scenario.v_var)
             c = est.coefficients
             a1 = float(c[0]) if c.size > 0 else math.nan
             a2 = float(c[1]) if c.size > 1 else math.nan
@@ -361,8 +381,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
                        fir_order: int = DEFAULT_FIR_ORDER,
                        grid_points: int = DEFAULT_GRID_POINTS,
                        r_var: float = 1.0, v_var: float = 1e-6,
-                       exact_T: bool = False,
-                       backend: str | None = None) -> ModuleEstimate:
+                       exact_T: bool = False) -> ModuleEstimate:
     """Identify one module with the local two-step method.
 
     Stages: plan the experiment from local topology, simulate the planned
@@ -392,7 +411,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     else:
         spec = ExcitationSpec(plan.excite_set, N=samples, seed=seed,
                               r_variance=r_var, v_variance=v_var)
-        record = stage("simulate", simulate, model, spec, backend=backend)
+        record = stage("simulate", simulate, model, spec)
         est = stage("estimate", estimate_T_entries, record, plan.rows,
                     plan.cols, fir_order=fir_order, grid=grid)
         tmat = est.freq

@@ -1,17 +1,4 @@
-"""Simulation inner loops: a numba-jitted kernel with a pure-numpy twin.
-
-The per-sample recursion below is the hot path of every Monte-Carlo
-experiment, so it is compiled with numba when available.  The numpy kernel
-computes the same trajectories, to floating-point roundoff, by stepping the
-network's state-space realization instead: one (N, n) state array, one GEMM
-for the input term, one small matrix-vector product per sample.  It is the
-fallback without numba and the cross-check of the jitted kernel.
-
-Backend selection: environment variable NETID_BACKEND, value "numba" or
-"numpy".  Unset, the jitted kernel is used when numba imports, else numpy.
-The numba kernel releases the GIL for its whole loop, so Monte-Carlo batches
-parallelize with plain threads (see NETID_WORKERS in netid.experiments); the
-numpy kernel holds it between its per-sample BLAS calls.
+"""Simulation kernel: the network recursion, lifted into block GEMMs.
 
 Data layout (E edges, L nodes, N samples):
   erow, ecol : (E,) int64, 0-based endpoint indices; edge e feeds node
@@ -29,66 +16,44 @@ terms.  Stacking node equations w(t) = sum_in y_e(t) + u(t) gives
   (I - D0) w(t) = c(t) + u(t),  c_j(t) = sum_{e into j} s_e(t),
 solved per sample through the precomputed M.
 
-State-space form (numpy kernel): with s_e in observer canonical form, n_e
-states of its own order, x(t+1) = Ax x(t) + Bx w(t) and c(t) = Cx x(t).
-Substituting w = M (c + u) gives one linear system of n = sum n_e states,
+State-space form: with s_e in observer canonical form, n_e states of its own
+order, x(t+1) = Ax x(t) + Bx w(t) and c(t) = Cx x(t).  Substituting
+w = M (c + u) gives one linear system of n = sum n_e states,
   x(t+1) = A x(t) + B u(t),  w(t) = C x(t) + D u(t),
   A = Ax + Bx M Cx,  B = Bx M,  C = M Cx,  D = M.
 
-The loop returns (w, bad): bad is -1 on success, else the index of the first
-sample where a non-finite value appeared (instability blow-up).
+Lifted recursion (block-state realization): the N samples are cut into
+P = ceil(N/K) blocks of K = isqrt(N) samples, K a function of N alone so
+that bits do not depend on anything but the record.  With b(t) = B u(t-1)
+and S_m = x(mK - 1) the state before block m,
+  x(mK + j) = z_m(j) + A^(j+1) S_m,   z_m(j) = sum_{i<=j} A^(j-i) b(mK + i).
+Three recursions replace the N sequential steps: the forced responses z_m,
+K steps each a (P, n) x (n, n) GEMM over all blocks at once; the block
+starts S_{m+1} = A^K S_m + z_m(K-1), P vector steps; and the free responses
+A^(j+1) S_m, K more GEMM steps that propagate S.  So about 2K + P calls do
+the work of N, and the GEMMs release the GIL, which lets Monte-Carlo runs
+overlap on threads.  Working memory is the one (P K, n) state array, which
+is at most K - 1 rows longer than the (N, n) trajectory it holds, plus
+(P, n) temporaries; w = C x + M u is formed in blocks of _OUT_CHUNK samples.
+
+The kernel returns (w, bad): bad is -1 on success, else the index of the
+first non-finite column of w (instability blow-up), with w zeroed after it.
+Once a state overflows, the next product spreads 0 * inf = NaN to every
+state, so on an edge of delay d, bad can come up to d - 1 samples before
+the per-edge recursion above sees a non-finite w.  A network whose A^K
+overflows (spectral radius above about exp(709 / K)) turns the block starts
+non-finite from the third block even where the state stays exactly zero,
+which only an unexcited, wildly unstable part can show.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
 # samples per output block: bounds the temporaries of w = C X + M u
 _OUT_CHUNK = 1024
-
-
-def _sim_loop_py(erow, ecol, bmat, amat, M, u):
-    L, N = u.shape
-    E = erow.shape[0]
-    NB = bmat.shape[1]
-    NA = amat.shape[1]
-    w = np.zeros((L, N))
-    y = np.zeros((E, N))
-    s = np.zeros(E)
-    c = np.zeros(L)
-    wt = np.zeros(L)
-    for t in range(N):
-        for e in range(E):
-            acc = 0.0
-            src = ecol[e]
-            for k in range(1, NB):
-                if t - k >= 0:
-                    acc += bmat[e, k] * w[src, t - k]
-            for m in range(1, NA):
-                if t - m >= 0:
-                    acc -= amat[e, m] * y[e, t - m]
-            s[e] = acc
-        for j in range(L):
-            c[j] = u[j, t]
-        for e in range(E):
-            c[erow[e]] += s[e]
-        ok = True
-        for j in range(L):
-            acc = 0.0
-            for i in range(L):
-                acc += M[j, i] * c[i]
-            wt[j] = acc
-            if not np.isfinite(acc):
-                ok = False
-        for j in range(L):
-            w[j, t] = wt[j]
-        if not ok:
-            return w, t
-        for e in range(E):
-            y[e, t] = bmat[e, 0] * w[ecol[e], t] + s[e]
-    return w, -1
 
 
 def _realize(erow, ecol, bmat, amat, M):
@@ -122,21 +87,35 @@ def _realize(erow, ecol, bmat, amat, M):
 
 
 def sim_loop_numpy(erow, ecol, bmat, amat, M, u):
-    """The documented recursion, stepped through the network's state-space
-    realization: x(t) = A x(t-1) + B u(t-1), w(t) = C x(t) + M u(t)."""
+    """The documented recursion x(t) = A x(t-1) + B u(t-1),
+    w(t) = C x(t) + M u(t), evaluated in the lifted form of the module
+    docstring."""
     L, N = u.shape
     A, B, C = _realize(erow, ecol, bmat, amat, M)
-    X = np.zeros((N, A.shape[0]))
+    n = A.shape[0]
+    K = math.isqrt(N)
+    P = -(-N // K)
+    X = np.zeros((P * K, n))
+    Xb = X.reshape(P, K, n)             # Xb[m, j] is row mK + j of X
     w = np.empty((L, N))
+    AT = A.T
     # blow-ups are reported through the bad-sample return value, so silence
     # the overflow warnings the final diverging samples would emit
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(u[:, :-1].T, B.T, out=X[1:])
-        AT = A.T
-        for prev, cur in zip(X, X[1:]):
-            cur += prev @ AT
+        np.matmul(u[:, :-1].T, B.T, out=X[1:N])
+        for j in range(1, K):           # forced responses z_m(j)
+            Xb[:, j] += Xb[:, j - 1] @ AT
+        S = np.zeros((P, n))            # S[m] = x(mK - 1)
+        if P > 1:                       # S[0] = 0: no product with A^K
+            S[1] = Xb[0, K - 1]
+        AKT = np.linalg.matrix_power(AT, K)
+        for m in range(2, P):
+            S[m] = S[m - 1] @ AKT + Xb[m - 1, K - 1]
+        for j in range(K):              # free responses A^(j+1) S_m
+            S = S @ AT
+            Xb[:, j] += S
         for s in range(0, N, _OUT_CHUNK):
-            blk = slice(s, s + _OUT_CHUNK)
+            blk = slice(s, min(s + _OUT_CHUNK, N))
             w[:, blk] = C @ X[blk].T + M @ u[:, blk]
             finite = np.isfinite(w[:, blk]).all(axis=0)
             if not finite.all():
@@ -144,37 +123,3 @@ def sim_loop_numpy(erow, ecol, bmat, amat, M, u):
                 w[:, t + 1:] = 0.0
                 return w, t
     return w, -1
-
-
-try:  # numba is optional; the numpy twin covers every code path without it
-    import numba
-
-    sim_loop_numba = numba.njit(cache=True, nogil=True)(_sim_loop_py)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    sim_loop_numba = None
-    HAVE_NUMBA = False
-
-
-def active_backend() -> str:
-    """Resolve the backend name: explicit NETID_BACKEND, else best available."""
-    choice = os.environ.get("NETID_BACKEND", "").strip().lower()
-    if choice:
-        if choice not in ("numba", "numpy"):
-            raise ValueError(f"NETID_BACKEND={choice!r}: expected 'numba' or 'numpy'")
-        if choice == "numba" and not HAVE_NUMBA:
-            raise ValueError("NETID_BACKEND=numba but numba is not installed")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def sim_loop(erow, ecol, bmat, amat, M, u, backend: str | None = None):
-    """Dispatch to the selected kernel; see module docstring for the contract."""
-    name = backend if backend is not None else active_backend()
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is not installed")
-        return sim_loop_numba(erow, ecol, bmat, amat, M, u)
-    if name == "numpy":
-        return sim_loop_numpy(erow, ecol, bmat, amat, M, u)
-    raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")

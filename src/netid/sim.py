@@ -1,4 +1,4 @@
-"""Network simulation: w(t) = G(q) w(t) + r(t) + v(t), sample by sample.
+"""Network simulation: w(t) = G(q) w(t) + r(t) + v(t) from zero initial state.
 
 Randomness contract
 -------------------
@@ -14,15 +14,14 @@ fixed and documented so that records are reproducible bit-for-bit:
 2. ``v = rng.standard_normal((L, N)) * sqrt(v_variance)`` - disturbance at
    every node.
 
-Identical (model, spec) therefore yields a bit-identical SignalRecord for a
-given kernel backend.
+Identical (model, spec) therefore yields a bit-identical SignalRecord.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import sim_loop
+from .kernels import sim_loop_numpy
 from .model import ExcitationSpec, NetworkModel, SignalRecord
 
 
@@ -60,7 +59,7 @@ def pack_model(model: NetworkModel):
 
 
 def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = None,
-                    seed: int | None = None, backend: str | None = None) -> SignalRecord:
+                    seed: int | None = None) -> SignalRecord:
     """Simulate with caller-supplied input arrays (both (L, N)).
 
     Initial conditions are zero.  Raises SimulationDiverged at the first
@@ -73,14 +72,13 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
     if v.shape != r.shape:
         raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
     packed = pack_model(model)
-    w, bad = sim_loop(*packed, r + v, backend=backend)
+    w, bad = sim_loop_numpy(*packed, r + v)
     if bad >= 0:
         raise SimulationDiverged(bad)
     return SignalRecord(w=w, r=r, v=v, seed=-1 if seed is None else seed)
 
 
-def simulate(model: NetworkModel, spec: ExcitationSpec,
-             backend: str | None = None) -> SignalRecord:
+def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
     """Simulate the network under an ExcitationSpec; see the module docstring
     for the randomness contract."""
     for n in spec.excited_nodes:
@@ -94,12 +92,11 @@ def simulate(model: NetworkModel, spec: ExcitationSpec,
         mask[n - 1] = True
     r[~mask] = 0.0
     v = rng.standard_normal((L, N)) * np.sqrt(spec.v_variance)
-    rec = simulate_inputs(model, r, v, seed=spec.seed, backend=backend)
+    rec = simulate_inputs(model, r, v, seed=spec.seed)
     return rec
 
 
-def impulse_response(model: NetworkModel, in_node: int, n: int,
-                     backend: str | None = None) -> np.ndarray:
+def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:
     """(L, n) noise-free response to a unit impulse on r at in_node, t=0.
 
     Column-in_node impulse responses of the network's input-output map; row
@@ -109,4 +106,4 @@ def impulse_response(model: NetworkModel, in_node: int, n: int,
         raise ValueError(f"node {in_node} outside 1..{model.L}")
     r = np.zeros((model.L, n))
     r[in_node - 1, 0] = 1.0
-    return simulate_inputs(model, r, backend=backend).w
+    return simulate_inputs(model, r).w

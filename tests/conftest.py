@@ -52,3 +52,36 @@ def random_stable_network(rng: np.random.Generator) -> NetworkModel:
     if scale < 1.0:
         edges = {k: v * scale for k, v in edges.items()}
     return NetworkModel(L, {k: RationalTF(v) for k, v in edges.items()})
+
+
+def random_rational_network(rng: np.random.Generator) -> NetworkModel:
+    """Random network with the module kinds of the case study that
+    random_stable_network lacks: first-order rational modules and zero-delay
+    feedthrough, mixed with FIR ones.  Each module's H-infinity gain is
+    bounded by sum|b| / (1 - |p|), and the row sums of those bounds are
+    scaled below 1, so the network is internally stable and I - D0 is
+    invertible by the small-gain argument.
+    """
+    L = int(rng.integers(3, 6))
+    modules = {}
+    for j in range(1, L + 1):
+        for i in range(1, L + 1):
+            if i == j or rng.random() > 0.5:
+                continue
+            kind = rng.integers(3)
+            b = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 4)))
+            if kind == 0:    # strictly delayed FIR
+                b = np.concatenate([[0.0], b])
+            pole = rng.uniform(-0.8, 0.8) if kind < 2 else 0.0
+            modules[(j, i)] = (b, pole)
+    if not modules:
+        modules[(2, 1)] = (np.array([0.3, 0.5]), 0.5)
+    row_gain = np.zeros(L)
+    for (j, _), (b, pole) in modules.items():
+        row_gain[j - 1] += np.abs(b).sum() / (1.0 - abs(pole))
+    scale = 0.8 / max(row_gain.max(), 1e-9)
+    edges = {}
+    for (j, i), (b, pole) in modules.items():
+        den = [1.0, -pole] if pole else [1.0]
+        edges[(j, i)] = RationalTF(b * min(scale, 1.0), den)
+    return NetworkModel(L, edges)

@@ -6,7 +6,7 @@ import pytest
 from netid import (ResultTable, Scenario, ScenarioFormatError, emit_results,
                    load_scenarios, read_results, run_local_pipeline,
                    run_monte_carlo)
-from netid import experiments
+from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, default_network_file,
                                default_scenario_file)
@@ -180,6 +180,21 @@ class TestMonteCarlo:
             run_monte_carlo(scn, case_study)
         assert simulated == []
 
+    def test_local_excite_set_must_match_plan(self, case_study, monkeypatch):
+        # the plan for (3,4) excites {3,4,5,6}; a local run would ignore the
+        # scenario's excite line, so a different one is rejected up front
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        scn = Scenario(id="loc1", excited_nodes=(1,), method="local",
+                       target=(3, 4), runs=3, samples_per_run=500,
+                       base_seed=0)
+        with pytest.raises(ValueError, match=r"excite \{1\} differs from the "
+                                             r"local plan's excite set "
+                                             r"\{3,4,5,6\}"):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
     def test_local_method_batch(self, case_study):
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
                        target=(3, 4), runs=2, samples_per_run=2000,
@@ -333,6 +348,30 @@ class TestCLI:
         assert rc == 1
         assert "target module (3,7) is not an edge" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_montecarlo_all_runs_failed_exits_1(self, tmp_path, capsys):
+        # 2 samples are shorter than the regressor's delays: every run fails
+        rc = main(["montecarlo", "--scenario", "1", "--runs", "2",
+                   "--samples", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "scenario 1: all 2 runs failed" in err
+        assert "record too short" in err
+        assert len(read_results(tmp_path / "results.csv")["1"]) == 2
+
+    def test_direct_missing_target_edge_exits_1(self, tmp_path, capsys,
+                                                monkeypatch):
+        simulated = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        scn = tmp_path / "noedge.scn"
+        scn.write_text("format 1\nscenario x\n  excite 3 7\n  method direct\n"
+                       "  target 3 7\n  runs 3\n  samples 500\n  seed 0\n")
+        rc = main(["direct", "--scenario", str(scn)])
+        assert rc == 1
+        assert ("scenario x: target module (3,7) is not an edge of the model"
+                in capsys.readouterr().err)
+        assert simulated == []
 
     def test_bad_target_reports_stage(self, capsys):
         rc = main(["local", "--target", "4,20", "--exact-t"])

@@ -1,17 +1,59 @@
-"""Simulator: kernel backends, randomness contract, divergence handling."""
+"""Simulator: kernel vs reference recursion, randomness contract,
+divergence handling."""
 
 import numpy as np
 import pytest
 
 from netid import (ExcitationSpec, NetworkModel, RationalTF,
-                   SimulationDiverged, active_backend, impulse_response,
-                   simulate, simulate_inputs)
-from netid.kernels import HAVE_NUMBA, _sim_loop_py
+                   SimulationDiverged, impulse_response, simulate,
+                   simulate_inputs)
 from netid.sim import pack_model
 
-from conftest import make_two_node_loop
+from conftest import make_two_node_loop, random_rational_network
 
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+
+def _sim_loop_py(erow, ecol, bmat, amat, M, u):
+    """The documented per-sample recursion of netid.kernels, in its plain
+    form: the reference the lifted kernel is checked against."""
+    L, N = u.shape
+    E = erow.shape[0]
+    NB = bmat.shape[1]
+    NA = amat.shape[1]
+    w = np.zeros((L, N))
+    y = np.zeros((E, N))
+    s = np.zeros(E)
+    c = np.zeros(L)
+    wt = np.zeros(L)
+    for t in range(N):
+        for e in range(E):
+            acc = 0.0
+            src = ecol[e]
+            for k in range(1, NB):
+                if t - k >= 0:
+                    acc += bmat[e, k] * w[src, t - k]
+            for m in range(1, NA):
+                if t - m >= 0:
+                    acc -= amat[e, m] * y[e, t - m]
+            s[e] = acc
+        for j in range(L):
+            c[j] = u[j, t]
+        for e in range(E):
+            c[erow[e]] += s[e]
+        ok = True
+        for j in range(L):
+            acc = 0.0
+            for i in range(L):
+                acc += M[j, i] * c[i]
+            wt[j] = acc
+            if not np.isfinite(acc):
+                ok = False
+        for j in range(L):
+            w[j, t] = wt[j]
+        if not ok:
+            return w, t
+        for e in range(E):
+            y[e, t] = bmat[e, 0] * w[ecol[e], t] + s[e]
+    return w, -1
 
 
 class TestKernelBasics:
@@ -54,47 +96,33 @@ class TestKernelBasics:
                             v=np.zeros((2, 3)))
 
 
-class TestBackends:
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_backends_agree_on_case_study(self, case_study):
-        spec = ExcitationSpec(range(1, 21), N=400, seed=42)
-        w_numba = simulate(case_study, spec, backend="numba").w
-        w_numpy = simulate(case_study, spec, backend="numpy").w
-        assert np.allclose(w_numba, w_numpy, rtol=0, atol=1e-12)
+class TestKernel:
+    """The lifted kernel against the documented per-sample recursion.
 
-    def test_numpy_kernel_matches_documented_recursion(self, case_study):
-        # _sim_loop_py is the recursion numba compiles; run it uncompiled so
-        # the numpy kernel is checked against it wherever numba is missing.
-        # The loop adds a rational module with feedthrough, which the case
-        # study lacks.
-        loop = NetworkModel(2, {(2, 1): RationalTF([0.4, 0.3], [1.0, -0.5]),
-                                (1, 2): RationalTF([0.0, 0.2])})
-        for model in (case_study, loop):
-            spec = ExcitationSpec(range(1, model.L + 1), N=400, seed=42)
-            rec = simulate(model, spec, backend="numpy")
+    N = 37 leaves a partial last block (K = isqrt(37) = 6 does not divide
+    it), N = 1 and 2 have blocks of one sample, and N = 10^4 is the
+    Monte-Carlo length.
+    """
+
+    @pytest.mark.parametrize("N", [1, 2, 37, 400, 10_000])
+    def test_matches_reference_recursion(self, case_study, N):
+        rng = np.random.default_rng(N)
+        models = [case_study] + [random_rational_network(rng)
+                                 for _ in range(3)]
+        for model in models:
+            spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=42)
+            rec = simulate(model, spec)
             w_ref, bad = _sim_loop_py(*pack_model(model), rec.r + rec.v)
             assert bad == -1
             assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seed_determinism_bit_exact(self, case_study, backend):
+    def test_seed_determinism_bit_exact(self, case_study):
         spec = ExcitationSpec([3, 4, 5], N=300, seed=7)
-        rec1 = simulate(case_study, spec, backend=backend)
-        rec2 = simulate(case_study, spec, backend=backend)
+        rec1 = simulate(case_study, spec)
+        rec2 = simulate(case_study, spec)
         assert np.array_equal(rec1.w, rec2.w)
         assert np.array_equal(rec1.r, rec2.r)
         assert np.array_equal(rec1.v, rec2.v)
-
-    def test_unknown_backend_rejected(self, two_node_chain):
-        with pytest.raises(ValueError, match="backend"):
-            simulate_inputs(two_node_chain, np.zeros((2, 3)), backend="cuda")
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("NETID_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv("NETID_BACKEND", "torch")
-        with pytest.raises(ValueError, match="NETID_BACKEND"):
-            active_backend()
 
 
 class TestRandomnessContract:
@@ -127,14 +155,31 @@ class TestRandomnessContract:
 
 
 class TestDivergence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unstable_loop_raises_with_sample_index(self, backend):
+    def test_unstable_loop_raises_with_sample_index(self):
         m = make_two_node_loop(10.0, 10.0)  # loop gain 100 per revolution
         r = np.zeros((2, 2000))
         r[0, 0] = 1.0
         with pytest.raises(SimulationDiverged, match="sample") as exc:
-            simulate_inputs(m, r, backend=backend)
+            simulate_inputs(m, r)
         assert 0 < exc.value.sample < 2000
+
+    @pytest.mark.parametrize("delay", [1, 2, 3])
+    @pytest.mark.parametrize("gain", [1.05, 1.5, 10.0, 1e4])
+    def test_divergence_sample_tracks_reference(self, gain, delay):
+        # A delayed edge keeps the samples in flight in shift states.  When
+        # the newest of them overflows, the kernel's next product spreads
+        # 0 * inf = NaN to every state, so w turns non-finite up to
+        # delay - 1 samples before the reference's w does (as the
+        # sample-by-sample state-space kernel before the lifted one did).
+        m = make_two_node_loop(gain, gain, delay=delay)
+        r = np.zeros((2, 50_000))  # gain 1.05, delay 3 overflows at ~43_600
+        r[0, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, bad_ref = _sim_loop_py(*pack_model(m), r)
+        assert bad_ref > 0
+        with pytest.raises(SimulationDiverged) as exc:
+            simulate_inputs(m, r)
+        assert 0 <= bad_ref - exc.value.sample <= delay - 1
 
     def test_stable_loop_does_not_raise(self):
         m = make_two_node_loop(0.5, 0.5)
