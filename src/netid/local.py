@@ -208,8 +208,10 @@ def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
     windowed[:, :P] = 0.0
     # t - l >= 0 for t >= P and l <= P: the circular correlation never wraps
     R = np.fft.rfft(r, n_fft)
-    xc = np.fft.irfft(np.fft.rfft(windowed, n_fft)[:, None, :] * R.conj(),
-                      n_fft)[..., :P + 1]  # (C + M, C, P + 1)
+    Wf = np.fft.rfft(windowed, n_fft)
+    xc = np.empty((len(windowed), C, P + 1))
+    for c in range(C):  # one excitation at a time bounds the temporaries
+        xc[:, c] = np.fft.irfft(Wf * R[c].conj(), n_fft)[:, :P + 1]
     gram = np.empty((C, P + 1, C, P + 1))
     gram[:, 0] = xc[:C]
     gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)

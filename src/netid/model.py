@@ -11,9 +11,11 @@ Node indices are 1-based in every user-facing interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .tf import PolyQ, RationalTF
 
 # (I - D0) with condition number above this is treated as singular, where D0
@@ -139,6 +141,15 @@ class NetworkModel:
             raise ValueError(f"node {n} outside 1..{self._L}")
 
     # -- matrices ----------------------------------------------------------------
+
+    @cached_property
+    def realization(self) -> tuple[np.ndarray, ...]:
+        """State-space realization (A, B, C, D) of the network, read-only and
+        built on first use; see netid.kernels."""
+        arrays = kernels._realize(self)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def feedthrough_matrix(self) -> np.ndarray:
         """Zero-delay coefficient matrix D0 (L x L dense)."""

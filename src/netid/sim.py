@@ -34,30 +34,6 @@ class SimulationDiverged(RuntimeError):
         self.sample = sample
 
 
-def pack_model(model: NetworkModel):
-    """Flatten a model into the kernel's array layout; see netid.kernels."""
-    items = model.edge_items()
-    E = len(items)
-    L = model.L
-    if E == 0:
-        erow = np.zeros(0, dtype=np.int64)
-        ecol = np.zeros(0, dtype=np.int64)
-        bmat = np.zeros((0, 1))
-        amat = np.ones((0, 1))
-        return erow, ecol, bmat, amat, np.eye(L)
-    NB = max(len(tf.num.coeffs) for _, tf in items)
-    NA = max(len(tf.den.coeffs) for _, tf in items)
-    erow = np.array([j - 1 for (j, _), _ in items], dtype=np.int64)
-    ecol = np.array([i - 1 for (_, i), _ in items], dtype=np.int64)
-    bmat = np.zeros((E, NB))
-    amat = np.zeros((E, NA))
-    for e, (_, tf) in enumerate(items):
-        bmat[e, :len(tf.num.coeffs)] = tf.num.coeffs
-        amat[e, :len(tf.den.coeffs)] = tf.den.coeffs
-    M = np.linalg.inv(np.eye(L) - model.feedthrough_matrix())
-    return erow, ecol, bmat, amat, M
-
-
 def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = None,
                     seed: int | None = None) -> SignalRecord:
     """Simulate with caller-supplied input arrays (both (L, N)).
@@ -71,8 +47,7 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
     v = np.zeros_like(r) if v is None else np.ascontiguousarray(v, dtype=float)
     if v.shape != r.shape:
         raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
-    packed = pack_model(model)
-    w, bad = sim_loop_numpy(*packed, r + v)
+    w, bad = sim_loop_numpy(*model.realization, r + v)
     if bad >= 0:
         raise SimulationDiverged(bad)
     return SignalRecord(w=w, r=r, v=v, seed=-1 if seed is None else seed)

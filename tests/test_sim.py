@@ -7,9 +7,36 @@ import pytest
 from netid import (ExcitationSpec, NetworkModel, RationalTF,
                    SimulationDiverged, impulse_response, simulate,
                    simulate_inputs)
-from netid.sim import pack_model
+from netid import kernels
 
 from conftest import make_two_node_loop, random_rational_network
+
+
+def pack_model(model: NetworkModel):
+    """Flatten a model into _sim_loop_py's per-edge array layout: erow, ecol
+    (0-based endpoints, edge e feeds node erow[e] from node ecol[e]), bmat
+    and amat (numerator and denominator taps, zero-padded) and
+    M = (I - D0)^-1."""
+    items = model.edge_items()
+    E = len(items)
+    L = model.L
+    if E == 0:
+        erow = np.zeros(0, dtype=np.int64)
+        ecol = np.zeros(0, dtype=np.int64)
+        bmat = np.zeros((0, 1))
+        amat = np.ones((0, 1))
+        return erow, ecol, bmat, amat, np.eye(L)
+    NB = max(len(tf.num.coeffs) for _, tf in items)
+    NA = max(len(tf.den.coeffs) for _, tf in items)
+    erow = np.array([j - 1 for (j, _), _ in items], dtype=np.int64)
+    ecol = np.array([i - 1 for (_, i), _ in items], dtype=np.int64)
+    bmat = np.zeros((E, NB))
+    amat = np.zeros((E, NA))
+    for e, (_, tf) in enumerate(items):
+        bmat[e, :len(tf.num.coeffs)] = tf.num.coeffs
+        amat[e, :len(tf.den.coeffs)] = tf.den.coeffs
+    M = np.linalg.inv(np.eye(L) - model.feedthrough_matrix())
+    return erow, ecol, bmat, amat, M
 
 
 def _sim_loop_py(erow, ecol, bmat, amat, M, u):
@@ -116,6 +143,43 @@ class TestKernel:
             assert bad == -1
             assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("N", [1, 2, 37, 400])
+    def test_shared_denominator_chains_match_reference(self, N):
+        # Node 3 has two rational in-edges with one denominator (one of them
+        # with feedthrough) and two FIR in-edges: one chain of order 2 and
+        # one of order 3 in place of four chains of 2 + 2 + 2 + 3 states.
+        den = [1.0, -0.6, 0.2]
+        m = NetworkModel(5, {(3, 1): RationalTF([0.2, 0.3, -0.1], den),
+                             (3, 2): RationalTF([0.0, -0.4], den),
+                             (3, 4): RationalTF([0.1, 0.25, 0.15]),
+                             (3, 5): RationalTF([0.0, 0.3, 0.0, -0.2]),
+                             (1, 3): RationalTF([0.0, 0.1]),
+                             (4, 3): RationalTF([0.0, 0.4], [1.0, -0.5])})
+        assert m.realization[0].shape == (7, 7)
+        rec = simulate(m, ExcitationSpec(range(1, 6), N=N, seed=N))
+        w_ref, bad = _sim_loop_py(*pack_model(m), rec.r + rec.v)
+        assert bad == -1
+        assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
+
+    def test_case_study_has_35_states(self, case_study):
+        # 56 edges: the FIR edges into a node share the chain of
+        # denominator 1, the 25 first-order edges have distinct poles
+        assert case_study.realization[0].shape == (35, 35)
+
+    def test_realization_built_once_per_model(self, monkeypatch):
+        calls = []
+        realize = kernels._realize
+
+        def counting(model):
+            calls.append(model)
+            return realize(model)
+
+        monkeypatch.setattr(kernels, "_realize", counting)
+        m = make_two_node_loop(0.5, 0.5)
+        spec = ExcitationSpec([1, 2], N=50, seed=0)
+        assert np.array_equal(simulate(m, spec).w, simulate(m, spec).w)
+        assert calls == [m]
+
     def test_seed_determinism_bit_exact(self, case_study):
         spec = ExcitationSpec([3, 4, 5], N=300, seed=7)
         rec1 = simulate(case_study, spec)
@@ -180,6 +244,20 @@ class TestDivergence:
         with pytest.raises(SimulationDiverged) as exc:
             simulate_inputs(m, r)
         assert 0 <= bad_ref - exc.value.sample <= delay - 1
+
+    def test_unexcited_unstable_part_does_not_diverge(self):
+        # The loop (3,4), (4,3) has spectral radius 1e4, so A^K overflows,
+        # but an impulse on node 1 never reaches it: its states stay exactly
+        # zero, and the record is finite.
+        m = NetworkModel(4, {(2, 1): RationalTF([0.0, 0.5]),
+                             (3, 4): RationalTF([0.0, 1e4]),
+                             (4, 3): RationalTF([0.0, 1e4])})
+        r = np.zeros((4, 10_000))
+        r[0, 0] = 1.0
+        rec = simulate_inputs(m, r)
+        w_ref, bad = _sim_loop_py(*pack_model(m), r)
+        assert bad == -1
+        assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
     def test_stable_loop_does_not_raise(self):
         m = make_two_node_loop(0.5, 0.5)
