@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .direct import DirectModelStructure, estimate_direct
-from .experiments import (ResultTable, Scenario, check_target,
+from .experiments import (ResultTable, Scenario, check_scenario,
                           default_network_file, default_scenario_file,
                           emit_results, load_scenarios, read_results,
-                          run_local_pipeline, run_monte_carlo)
+                          run_local_pipeline, run_monte_carlo,
+                          write_scatter_svgs)
 from .local import plan_experiment_for_model
 from .iomap import true_T
 from .model import ExcitationSpec, load_network
@@ -91,7 +92,7 @@ def _cmd_direct(args) -> int:
     scn = _select_scenarios(args.scenario)[0]
     samples = args.samples if args.samples is not None else scn.samples_per_run
     seed = args.seed if args.seed is not None else scn.base_seed
-    check_target(scn, model)
+    check_scenario(scn, model)
     j = scn.target[0]
     structure = DirectModelStructure.from_model(model, j)
     spec = ExcitationSpec(scn.excited_nodes, N=samples, seed=seed,
@@ -215,24 +216,7 @@ def _cmd_report(args) -> int:
               f"{np.nanmean(a2):>9.4f}  {np.nanstd(a1):>9.4g}  "
               f"{np.nanstd(a2):>9.4g}  {inf_rate:>10.0%}")
     if args.format == "svg":
-        try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError:
-            raise RuntimeError("svg output needs matplotlib; install the "
-                               "'plot' extra") from None
-        for sid, runs in per_scenario.items():
-            fig, ax = plt.subplots(figsize=(5.0, 4.0))
-            ax.scatter([r.a1 for r in runs], [r.a2 for r in runs],
-                       s=12, alpha=0.6, edgecolors="none")
-            ax.set_xlabel(r"$\hat{a}_1$")
-            ax.set_ylabel(r"$\hat{a}_2$")
-            ax.set_title(f"scenario {sid}: {len(runs)} runs")
-            ax.grid(True, alpha=0.3)
-            svg = Path(args.out) / f"scatter_scenario_{sid}.svg"
-            fig.savefig(svg, format="svg")
-            plt.close(fig)
+        for svg in write_scatter_svgs(per_scenario, args.out):
             print(f"wrote {svg}")
     return 0
 

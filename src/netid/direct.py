@@ -7,12 +7,13 @@ structure, H = 1), the prediction-error estimate is an ordinary linear
 least-squares solution - no iterative optimization.
 
 Closed-loop informativity is diagnosed numerically: the condition number of
-the sample Gram matrix of the regressor.  A rank-deficient experiment (for
-example, exciting only nodes whose responses move the regressors inside a
-common subspace) produces a huge condition number; estimates are then
-reported from the minimum-norm solution and flagged non-informative rather
-than rejected, since divergent estimates are themselves informative output
-for Monte-Carlo studies.
+the sample Gram matrix of the regressor, read off the singular values of the
+least-squares solve.  A rank-deficient experiment (for example, exciting
+only nodes whose responses move the regressors inside a common subspace)
+produces a huge condition number; estimates are then reported from the
+minimum-norm solution and flagged non-informative rather than rejected,
+since divergent estimates are themselves informative output for Monte-Carlo
+studies.
 """
 
 from __future__ import annotations
@@ -140,17 +141,6 @@ class DirectEstimate:
         return RationalTF(coeffs if coeffs.size else [0.0])
 
 
-def _gram_condition(Phi: np.ndarray) -> float:
-    gram = Phi.T @ Phi / max(Phi.shape[0], 1)
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.inf
-    if s[-1] == 0.0:
-        return np.inf
-    cond = s[0] / s[-1]
-    return float(cond) if np.isfinite(cond) else np.inf
-
-
 def estimate_direct(record: SignalRecord, structure: DirectModelStructure,
                     informativity_threshold: float = DEFAULT_INFORMATIVITY_THRESHOLD
                     ) -> DirectEstimate:
@@ -159,12 +149,17 @@ def estimate_direct(record: SignalRecord, structure: DirectModelStructure,
     The minimizer of the squared prediction error is computed by SVD-based
     least squares, which returns the minimum-norm solution when the normal
     equations are rank-deficient; the informativity verdict (Gram condition
-    number against the threshold) tells the two situations apart.
+    number against the threshold) tells the two situations apart.  The
+    Gram matrix Phi'Phi/n has eigenvalues s**2/n for the singular values s
+    of Phi that the solve returns, so its condition is (s[0]/s[-1])**2.
     """
     Phi, y = build_regressor(record, structure)
-    theta, _, _, _ = np.linalg.lstsq(Phi, y, rcond=None)
+    theta, _, _, s = np.linalg.lstsq(Phi, y, rcond=None)
     resid = y - Phi @ theta
-    cond = _gram_condition(Phi)
+    cond = np.inf
+    if s.size == Phi.shape[1] and s[-1] > 0.0:
+        with np.errstate(over="ignore"):
+            cond = float((s[0] / s[-1]) ** 2)
     return DirectEstimate(
         structure=structure,
         theta_hat=theta,
@@ -172,22 +167,3 @@ def estimate_direct(record: SignalRecord, structure: DirectModelStructure,
         residual_variance=float(resid @ resid / resid.size),
         informative=bool(cond < informativity_threshold),
     )
-
-
-@dataclass(frozen=True)
-class InformativityReport:
-    condition: float
-    informative: bool
-    threshold: float
-
-
-def informativity_diagnostic(record: SignalRecord, structure: DirectModelStructure,
-                             threshold: float = DEFAULT_INFORMATIVITY_THRESHOLD
-                             ) -> InformativityReport:
-    """Numerical proxy for the positive-definite-spectrum requirement on the
-    regressor process: condition number of the sample Gram matrix."""
-    Phi, _ = build_regressor(record, structure)
-    cond = _gram_condition(Phi)
-    return InformativityReport(condition=cond,
-                               informative=bool(cond < threshold),
-                               threshold=threshold)

@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
                     ParametricFit, estimate_T_entries, fit_parametric,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
-from .iomap import true_T
+from .iomap import is_internally_stable, true_T
 from .model import ExcitationSpec, NetworkModel
 from .sim import simulate
 from .tf import FreqGrid
@@ -264,17 +265,39 @@ def _aggregate(scenario: Scenario, results: list[RunResult]) -> ScenarioResult:
         failed_runs=sum(1 for r in results if r.error is not None))
 
 
-def check_target(scenario: Scenario, model: NetworkModel) -> None:
-    """Reject a scenario whose target module the model lacks; every run
-    of it would fail the same way."""
+def _node_list(nodes) -> str:
+    return "{" + ",".join(map(str, sorted(nodes))) + "}"
+
+
+def check_scenario(scenario: Scenario, model: NetworkModel) -> None:
+    """Raise, naming the problem, for a scenario that every run would fail
+    the same way: a target module or excited node the model lacks, an
+    unstable model, or a local scenario whose excite set is not its plan's
+    (the plan decides what a local run excites) or whose solve recovers a
+    rational module."""
     j, i = scenario.target
     if not model.has_edge(j, i):
         raise ValueError(f"scenario {scenario.id}: target module ({j},{i}) "
                          f"is not an edge of the model")
-
-
-def _node_list(nodes) -> str:
-    return "{" + ",".join(map(str, sorted(nodes))) + "}"
+    outside = [n for n in scenario.excited_nodes if n > model.L]
+    if outside:
+        raise ValueError(f"scenario {scenario.id}: excited nodes "
+                         f"{_node_list(outside)} outside 1..{model.L}")
+    if not is_internally_stable(model):
+        raise ValueError(f"scenario {scenario.id}: the model is not "
+                         f"internally stable; every run would diverge")
+    if scenario.method == "local":
+        plan = plan_experiment_for_model(model, (j, i))
+        if set(scenario.excited_nodes) != set(plan.excite_set):
+            raise ValueError(
+                f"scenario {scenario.id}: excite "
+                f"{_node_list(scenario.excited_nodes)} differs from the local "
+                f"plan's excite set {_node_list(plan.excite_set)} for target "
+                f"({j},{i})")
+        try:
+            _fit_bands(model, plan)
+        except ValueError as e:
+            raise ValueError(f"scenario {scenario.id}: {e}") from None
 
 
 def run_monte_carlo(scenario: Scenario, model: NetworkModel,
@@ -285,19 +308,17 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
     """Run a scenario's Monte-Carlo batch and aggregate it.
 
     Run k uses seed base_seed + k; per-run estimator failures are recorded
-    in the run's row rather than aborting the batch.  A target module the
-    model lacks fails every run the same way, so it raises before any run
-    starts, and so does a local-method scenario whose excite set is not the
-    one its experiment plan excites (the plan, not the scenario, decides
-    what a local run excites).  `runs` and `samples` override the
-    scenario's counts (the CLI default of 100 runs keeps batches fast;
-    scenario files carry the full counts).
+    in the run's row rather than aborting the batch.  A scenario that every
+    run would fail the same way (see check_scenario) raises before any run
+    starts.  `runs` and `samples` override the scenario's counts (the CLI
+    default of 100 runs keeps batches fast; scenario files carry the full
+    counts).
     """
     n_runs = runs if runs is not None else scenario.runs
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
-    check_target(scenario, model)
+    check_scenario(scenario, model)
     j, i = scenario.target
 
     if scenario.method == "direct":
@@ -315,14 +336,6 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
             a2 = float(coeffs[1]) if coeffs.size > 1 else math.nan
             return RunResult(run=k, a1=a1, a2=a2, informative=est.informative)
     else:
-        planned = plan_experiment_for_model(model, (j, i)).excite_set
-        if set(scenario.excited_nodes) != set(planned):
-            raise ValueError(
-                f"scenario {scenario.id}: excite "
-                f"{_node_list(scenario.excited_nodes)} differs from the local "
-                f"plan's excite set {_node_list(planned)} for target "
-                f"({j},{i})")
-
         def one_run(k: int) -> RunResult:
             est = run_local_pipeline(
                 model, scenario.target, samples=n_samples,
@@ -368,12 +381,21 @@ class ModuleEstimate:
         return self.solved_modules[self.target].tf
 
 
-def _band_of(model: NetworkModel, j: int, i: int) -> tuple[int, int]:
-    tf = model.edge(j, i)
-    if tf.den.degree > 0:
-        raise ValueError(f"module ({j},{i}) is rational; parametric fitting "
-                         f"covers FIR modules only")
-    return (tf.relative_degree, tf.num.degree)
+def _fit_bands(model: NetworkModel, plan: MethodChoice
+               ) -> dict[tuple[int, int], tuple[int, int]]:
+    """FIR band of each module the plan's solve recovers (those leaving the
+    source, or entering the sink); raises for a rational one."""
+    j, i = plan.target
+    modules = ([(m, i) for m in plan.measure_set] if plan.which == "source"
+               else [(j, k) for k in plan.excite_set])
+    bands = {}
+    for to_node, from_node in modules:
+        tf = model.edge(to_node, from_node)
+        if tf.den.degree > 0:
+            raise ValueError(f"module ({to_node},{from_node}) is rational; "
+                             f"parametric fitting covers FIR modules only")
+        bands[(to_node, from_node)] = (tf.relative_degree, tf.num.degree)
+    return bands
 
 
 def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
@@ -403,6 +425,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
             raise RuntimeError(f"[{name}] {e}") from e
 
     plan = stage("plan", plan_experiment_for_model, model, (j, i))
+    bands = stage("plan", _fit_bands, model, plan)
     grid = FreqGrid.uniform(grid_points)
 
     if exact_T:
@@ -423,16 +446,10 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
         solved = stage("solve", solve_sink_side, tmat, j, plan.excite_set)
 
     fits: dict[tuple[int, int], ParametricFit] = {}
-    for to_node, from_node in solved.modules:
-        if not model.has_edge(to_node, from_node):
-            continue
-        band = _band_of(model, to_node, from_node)
-        fits[(to_node, from_node)] = stage(
-            "fit", fit_parametric,
-            solved.module_samples(to_node, from_node), band, grid=solved.grid)
-    if (j, i) not in fits:
-        raise RuntimeError(f"[fit] target module ({j},{i}) was not among the "
-                           f"solved modules")
+    for module in solved.modules:
+        fits[module] = stage("fit", fit_parametric,
+                             solved.module_samples(*module), bands[module],
+                             grid=solved.grid)
     target_fit = fits[(j, i)]
     return ModuleEstimate(
         target=(j, i), band=target_fit.band,
@@ -477,37 +494,58 @@ def emit_results(table: ResultTable, out_dir, format: str = "csv") -> list[Path]
                         "true" if rr.informative else "false"])
         written.append(path)
     elif format == "svg":
-        written.extend(_emit_scatter_svgs(table, out))
+        written.extend(write_scatter_svgs(
+            {row.scenario.id: row.runs for row in table.rows}, out))
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'svg'")
     return written
 
 
-def _emit_scatter_svgs(table: ResultTable, out: Path) -> list[Path]:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise RuntimeError(
-            "svg output needs matplotlib; install the 'plot' extra") from None
+def write_scatter_svgs(runs_by_scenario: dict, out_dir) -> list[Path]:
+    """One (a1, a2) scatter plot per entry of {scenario_id: runs}, written
+    as plain SVG text to an existing out_dir as `scatter_scenario_<id>.svg`;
+    returns the paths written.  Runs with a non-finite estimate (failed
+    runs) are counted in the title but not plotted."""
+    out = Path(out_dir)
     written = []
-    for row in table.rows:
-        a1 = np.array([rr.a1 for rr in row.runs if rr.error is None])
-        a2 = np.array([rr.a2 for rr in row.runs if rr.error is None])
-        fig, ax = plt.subplots(figsize=(5.0, 4.0))
-        ax.scatter(a1, a2, s=12, alpha=0.6, edgecolors="none")
-        ax.set_xlabel(r"$\hat{a}_1$")
-        ax.set_ylabel(r"$\hat{a}_2$")
-        ax.set_title(f"scenario {row.scenario.id}: "
-                     f"{len(a1)} runs, informative rate "
-                     f"{row.informative_rate:.2f}")
-        ax.grid(True, alpha=0.3)
-        path = out / f"scatter_scenario_{row.scenario.id}.svg"
-        fig.savefig(path, format="svg")
-        plt.close(fig)
+    for sid, runs in runs_by_scenario.items():
+        pts = np.array([(r.a1, r.a2) for r in runs], dtype=float)
+        pts = pts.reshape(-1, 2)[np.isfinite(pts).all(axis=1)]
+        rate = sum(r.informative for r in runs) / len(runs)
+        path = out / f"scatter_scenario_{sid}.svg"
+        path.write_text(_scatter_svg(
+            pts, f"scenario {sid}: {len(runs)} runs, informative rate "
+                 f"{rate:.2f}"))
         written.append(path)
     return written
+
+
+def _scatter_svg(pts: np.ndarray, title: str) -> str:
+    """Points on a 400 x 320 canvas: frame, five ticks per axis, title."""
+    left, top, pw, ph = 60, 30, 320, 245
+    lo = pts.min(axis=0) if len(pts) else np.zeros(2)
+    hi = pts.max(axis=0) if len(pts) else np.ones(2)
+    pad = np.where(hi > lo, 0.05 * (hi - lo), 0.5)
+    lo, hi = lo - pad, hi + pad
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="400" height="320" '
+           'font-family="sans-serif" font-size="11">',
+           f'<text x="200" y="18" text-anchor="middle">{escape(title)}</text>',
+           f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
+           'fill="none" stroke="black"/>',
+           '<text x="220" y="312" text-anchor="middle">a1 estimate</text>',
+           '<text x="14" y="152" text-anchor="middle" '
+           'transform="rotate(-90 14 152)">a2 estimate</text>']
+    # tick labels carry two significant digits of the tick step
+    dx, dy = np.maximum(0, 1 - np.floor(np.log10((hi - lo) / 4))).astype(int)
+    for t, (x, y) in zip(np.linspace(0, 1, 5), np.linspace(lo, hi, 5)):
+        out.append(f'<text x="{left + t * pw:.0f}" y="{top + ph + 14}" '
+                   f'text-anchor="middle">{x:.{dx}f}</text>')
+        out.append(f'<text x="{left - 4}" y="{top + (1 - t) * ph + 4:.0f}" '
+                   f'text-anchor="end">{y:.{dy}f}</text>')
+    for x, y in (pts - lo) / (hi - lo) * (pw, ph):
+        out.append(f'<circle cx="{left + x:.2f}" cy="{top + ph - y:.2f}" '
+                   'r="2.5" fill="steelblue" fill-opacity="0.6"/>')
+    return "\n".join(out + ["</svg>"]) + "\n"
 
 
 def read_results(path) -> dict[str, list[RunResult]]:

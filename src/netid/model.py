@@ -38,15 +38,11 @@ class NetworkModel:
         Module from node i to node j.  Diagonal entries are forbidden (the
         network matrix is hollow) and identically-zero modules are rejected:
         absence of an edge is the only representation of "no module".
-    require_loop_delay : bool
-        When True, construction fails if some directed cycle has zero total
-        delay (the zero-delay coefficient matrix is not nilpotent).  Default
-        False: such networks are still well-posed whenever (I - D0) is
-        invertible, which is checked unconditionally, and the outcome is
-        recorded in ``has_zero_delay_cycle``.
+        Zero-delay cycles are allowed while (I - D0) is invertible, with D0
+        the zero-delay coefficient matrix; otherwise construction fails.
     """
 
-    def __init__(self, L: int, edges, require_loop_delay: bool = False):
+    def __init__(self, L: int, edges):
         if L < 1:
             raise ValueError("node count must be >= 1")
         clean: dict[tuple[int, int], RationalTF] = {}
@@ -80,26 +76,12 @@ class NetworkModel:
         if not np.isfinite(cond) or cond > _WELLPOSED_COND_LIMIT:
             raise ValueError("network is ill-posed: (I - D0) is singular, "
                              "where D0 is the zero-delay coefficient matrix")
-        self._has_zero_delay_cycle = _pattern_has_cycle(d0 != 0.0)
-        if require_loop_delay and self._has_zero_delay_cycle:
-            raise ValueError("a directed cycle with zero total delay exists "
-                             "(zero-delay coefficient matrix not nilpotent)")
 
     # -- basic accessors -------------------------------------------------------
 
     @property
     def L(self) -> int:
         return self._L
-
-    @property
-    def has_zero_delay_cycle(self) -> bool:
-        """True when some directed cycle has zero total delay.
-
-        Such a network is still simulable (the per-sample feedthrough system
-        is solved exactly) but violates the usual every-loop-has-a-delay
-        modelling assumption; the flag lets callers decide.
-        """
-        return self._has_zero_delay_cycle
 
     def edge(self, j: int, i: int) -> RationalTF:
         try:
@@ -187,24 +169,6 @@ class NetworkModel:
 
     def __repr__(self) -> str:
         return f"NetworkModel(L={self._L}, edges={len(self._edges)})"
-
-
-def _pattern_has_cycle(adj: np.ndarray) -> bool:
-    """Cycle test on a boolean adjacency matrix (Kahn's algorithm)."""
-    n = adj.shape[0]
-    indeg = adj.sum(axis=0).astype(int)
-    stack = [j for j in range(n) if indeg[j] == 0]
-    seen = 0
-    adj = adj.copy()
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for w in np.nonzero(adj[u])[0]:
-            adj[u, w] = False
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(int(w))
-    return seen < n
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Polynomial and rational transfer-function algebra in the delay operator q^-1.
+"""Polynomial and rational transfer functions in the delay operator q^-1.
 
 A transfer function is represented as a ratio of polynomials in q^-1 with
 real coefficients.  Properness is automatic in this form: every polynomial
@@ -64,23 +64,6 @@ class PolyQ:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc if acc.shape else acc[()]
-
-    def __add__(self, other: PolyQ) -> PolyQ:
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return PolyQ([(a[k] if k < len(a) else 0.0) + (b[k] if k < len(b) else 0.0)
-                      for k in range(n)])
-
-    def __sub__(self, other: PolyQ) -> PolyQ:
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return PolyQ([(a[k] if k < len(a) else 0.0) - (b[k] if k < len(b) else 0.0)
-                      for k in range(n)])
-
-    def __mul__(self, other: PolyQ) -> PolyQ:
-        if self.is_zero or other.is_zero:
-            return PolyQ([0.0])
-        return PolyQ(np.convolve(self.coeffs, other.coeffs))
 
     def scaled(self, factor: float) -> PolyQ:
         return PolyQ([factor * c for c in self.coeffs])
@@ -164,19 +147,6 @@ class RationalTF:
         out = self.num(x) / dv
         return out if np.ndim(omega) else complex(out)
 
-    # -- algebra ---------------------------------------------------------------
-
-    def __add__(self, other: RationalTF) -> RationalTF:
-        return RationalTF(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other: RationalTF) -> RationalTF:
-        return RationalTF(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __mul__(self, other: RationalTF) -> RationalTF:
-        return RationalTF(self.num * other.num, self.den * other.den)
-
 
 @dataclass(frozen=True)
 class FreqGrid:
@@ -207,29 +177,6 @@ class FreqGrid:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.omegas)
-
-
-# -- module-level operation aliases ------------------------------------------
-
-def tf_eval(tf: RationalTF, omega) -> complex:
-    """Frequency response of tf at omega; see RationalTF.eval_at."""
-    return tf.eval_at(omega)
-
-
-def tf_arith(a: RationalTF, b: RationalTF, op: str) -> RationalTF:
-    """Exact rational arithmetic: op in {'add', 'sub', 'mul'}.
-
-    No pole-zero cancellation is attempted beyond the constant-term
-    normalization performed by the RationalTF constructor, so results may be
-    non-minimal; all downstream checks compare frequency responses.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}; expected 'add', 'sub' or 'mul'")
 
 
 def is_stable(tf: RationalTF) -> bool:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_network
+from oracles import true_T_impulse
 from netid import (FreqGrid, RationalTF, build_case_study, fit_parametric,
                    impulse_response, load_scenarios, plan_experiment_for_model,
                    run_local_pipeline, run_monte_carlo, solve_sink_side,
-                   solve_source_side, true_T, true_T_impulse)
+                   solve_source_side, true_T)
 from netid.cli import main
 from netid.experiments import default_scenario_file
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
-                   RationalTF, build_regressor, estimate_direct,
-                   informativity_diagnostic, simulate)
+                   RationalTF, build_regressor, estimate_direct, simulate)
 from netid.model import SignalRecord
 
 
@@ -115,30 +114,40 @@ class TestEstimate:
         assert est.gram_condition == np.inf
         assert np.allclose(est.theta_hat, 0.0)
 
+    def test_fewer_rows_than_parameters_not_informative(self, case_study):
+        # 3 regressor rows for 7 parameters: the Gram matrix is singular,
+        # though lstsq returns only the 3 nonzero singular values of Phi
+        w = np.random.default_rng(0).standard_normal((20, 5))
+        rec = SignalRecord(w=w, r=np.zeros_like(w), v=np.zeros_like(w),
+                           seed=0)
+        est = estimate_direct(rec, DirectModelStructure.from_model(
+            case_study, 3))
+        assert est.gram_condition == np.inf
+        assert not est.informative
+
 
 class TestInformativity:
     def test_full_excitation_informative(self, case_study):
         spec = ExcitationSpec(range(1, 21), N=2000, seed=11)
-        rep = informativity_diagnostic(
+        est = estimate_direct(
             simulate(case_study, spec),
             DirectModelStructure.from_model(case_study, 3))
-        assert rep.informative
-        assert rep.condition < 1e3
+        assert est.informative
+        assert est.gram_condition < 1e3
 
     def test_single_node_excitation_not_informative(self, case_study):
         # exciting only the target's neighborhood source r3 leaves the
         # regressors confined to a lower-dimensional subspace
         spec = ExcitationSpec([3], N=10_000, seed=12)
-        rep = informativity_diagnostic(
+        est = estimate_direct(
             simulate(case_study, spec),
             DirectModelStructure.from_model(case_study, 3))
-        assert not rep.informative
-        assert rep.condition > 1e6
+        assert not est.informative
+        assert est.gram_condition > 1e6
 
     def test_threshold_is_configurable(self, case_study):
         spec = ExcitationSpec(range(1, 21), N=1000, seed=13)
         rec = simulate(case_study, spec)
         s = DirectModelStructure.from_model(case_study, 3)
-        rep = informativity_diagnostic(rec, s, threshold=1.0)
-        assert not rep.informative
-        assert rep.threshold == 1.0
+        est = estimate_direct(rec, s, informativity_threshold=1.0)
+        assert not est.informative

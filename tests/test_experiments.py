@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from netid import (ResultTable, Scenario, ScenarioFormatError, emit_results,
-                   load_scenarios, read_results, run_local_pipeline,
-                   run_monte_carlo)
+from netid import (RationalTF, ResultTable, Scenario, ScenarioFormatError,
+                   emit_results, load_scenarios, read_results,
+                   run_local_pipeline, run_monte_carlo)
 from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, default_network_file,
@@ -195,6 +195,47 @@ class TestMonteCarlo:
             run_monte_carlo(scn, case_study)
         assert simulated == []
 
+    @pytest.fixture()
+    def simulated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    def test_unstable_model_fails_before_any_run(self, case_study,
+                                                 simulated):
+        # (3,4) scaled x40: spectral radius 4, every run would diverge
+        model = case_study.with_edge(3, 4, RationalTF([0.0, -12.0, 32.0]))
+        scn = Scenario(id="unst", excited_nodes=tuple(range(1, 21)),
+                       method="direct", target=(3, 4), runs=3,
+                       samples_per_run=500, base_seed=0)
+        with pytest.raises(ValueError, match="scenario unst: the model is "
+                                             "not internally stable"):
+            run_monte_carlo(scn, model)
+        assert simulated == []
+
+    def test_excited_node_above_L_fails_before_any_run(self, case_study,
+                                                       simulated):
+        scn = Scenario(id="far", excited_nodes=(1, 2, 25), method="direct",
+                       target=(3, 4), runs=3, samples_per_run=500,
+                       base_seed=0)
+        with pytest.raises(ValueError, match=r"scenario far: excited nodes "
+                                             r"\{25\} outside 1\.\.20"):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
+    def test_rational_local_target_fails_before_any_run(self, case_study,
+                                                        simulated):
+        # (11,10) is first-order rational; its sink-side plan excites
+        # {10,12,16}, so only the parametric fit would reject it
+        scn = Scenario(id="rat", excited_nodes=(10, 12, 16), method="local",
+                       target=(11, 10), runs=3, samples_per_run=500,
+                       base_seed=0)
+        with pytest.raises(ValueError, match=r"scenario rat: module "
+                                             r"\(11,10\) is rational"):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
     def test_local_method_batch(self, case_study):
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
                        target=(3, 4), runs=2, samples_per_run=2000,
@@ -269,7 +310,6 @@ class TestEmission:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_svg_scatter_written(self, table, tmp_path):
-        pytest.importorskip("matplotlib")
         paths = emit_results(table, tmp_path, format="svg")
         assert len(paths) == 1
         head = paths[0].read_text()[:500]
@@ -301,6 +341,19 @@ class TestCLI:
         assert rc == 0
         text = capsys.readouterr().out
         assert "scenario" in text
+
+    def test_report_svg_skips_failed_runs(self, tmp_path, capsys):
+        (tmp_path / "results.csv").write_text(
+            "scenario_id,run,a1,a2,informative\n"
+            "1,0,-0.3,0.8,true\n"
+            "1,1,nan,nan,false\n")
+        assert main(["report", "--out", str(tmp_path), "--format",
+                     "svg"]) == 0
+        svg = (tmp_path / "scatter_scenario_1.svg").read_text()
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "scenario 1: 2 runs, informative rate 0.50" in svg
+        assert svg.count("<circle") == 1
+        assert "nan" not in svg
 
     def test_montecarlo_csv_determinism(self, tmp_path):
         a = tmp_path / "a"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from netid import (FreqGrid, FreqResponseMatrix, NetworkModel, RationalTF,
-                   impulse_response, is_internally_stable, true_T,
-                   true_T_impulse)
+                   impulse_response, is_internally_stable, true_T)
 
-from conftest import make_two_node_loop
+from conftest import (make_two_node_loop, random_rational_network,
+                      random_stable_network)
+from oracles import reference_is_internally_stable, true_T_impulse
 
 # Frozen by tools/make_fixtures.py (independent parser, plain-numpy math).
 T_AT_OMEGA0 = {
@@ -184,3 +185,28 @@ class TestInternalStability:
     def test_edge_pole_on_unit_circle(self):
         m = NetworkModel(2, {(2, 1): RationalTF([0.0, 1.0], [1.0, -1.0])})
         assert not is_internally_stable(m)
+
+    def test_slow_stable_loop(self):
+        # closed-loop poles +-0.995: stable, but too slow for an impulse
+        # response to decay below 1e-8 within 2000 samples
+        assert is_internally_stable(make_two_node_loop(0.995, 0.995))
+
+    def test_agrees_with_reference_check(self):
+        # The reference (argument principle plus impulse decay, at its
+        # defaults) can only certify poles below about 0.990 in modulus,
+        # so the two are compared wherever rho(A) is outside [0.99, 1).
+        rng = np.random.default_rng(6)
+        models = [random_stable_network(rng) for _ in range(100)]
+        models += [random_rational_network(rng) for _ in range(100)]
+        models += [make_two_node_loop(g, sign * g, delay)
+                   for g in np.linspace(0.9, 1.1, 21)
+                   for delay in (1, 2, 3) for sign in (1.0, -1.0)]
+        compared = 0
+        for m in models:
+            rho = np.abs(np.linalg.eigvals(m.realization[0])).max()
+            if 0.99 <= rho < 1.0:
+                continue
+            assert is_internally_stable(m) == \
+                reference_is_internally_stable(m), (m.edge_items(), rho)
+            compared += 1
+        assert compared >= 300

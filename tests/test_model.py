@@ -30,24 +30,6 @@ class TestConstruction:
             NetworkModel(2, {(1, 2): RationalTF([1.0]),
                              (2, 1): RationalTF([1.0])})
 
-    def test_zero_delay_cycle_flag(self, case_study):
-        assert case_study.has_zero_delay_cycle  # e.g. nodes 4 and 6
-        delayed = NetworkModel(2, {(1, 2): RationalTF([0.0, 0.5]),
-                                   (2, 1): RationalTF([0.0, 0.5])})
-        assert not delayed.has_zero_delay_cycle
-
-    def test_require_loop_delay_rejects_zero_delay_cycle(self):
-        # both edges feedthrough: the 1->2->1 cycle has zero total delay
-        edges = {(1, 2): RationalTF([0.5]), (2, 1): RationalTF([0.4])}
-        model = NetworkModel(2, edges)  # well-posed, fine by default
-        assert model.has_zero_delay_cycle
-        with pytest.raises(ValueError, match="zero total delay"):
-            NetworkModel(2, edges, require_loop_delay=True)
-        # one delayed edge breaks the zero-delay cycle
-        delayed = {(1, 2): RationalTF([0.5]), (2, 1): RationalTF([0.0, 0.5])}
-        assert not NetworkModel(
-            2, delayed, require_loop_delay=True).has_zero_delay_cycle
-
     def test_invalid_node_count(self):
         with pytest.raises(ValueError):
             NetworkModel(0, {})

@@ -1,9 +1,9 @@
-"""Polynomial and rational transfer-function arithmetic."""
+"""Polynomial and rational transfer functions."""
 
 import numpy as np
 import pytest
 
-from netid import FreqGrid, PolyQ, RationalTF, is_stable, tf_arith, tf_eval
+from netid import FreqGrid, PolyQ, RationalTF, is_stable
 
 
 class TestPolyQ:
@@ -33,17 +33,6 @@ class TestPolyQ:
             expected = np.polyval(np.trim_zeros(coeffs, "b")[::-1]
                                   if np.any(coeffs) else [0.0], x)
             assert np.allclose(p(x), expected, atol=1e-12)
-
-    def test_arithmetic_matches_convolution(self):
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            a = rng.normal(size=rng.integers(1, 5))
-            b = rng.normal(size=rng.integers(1, 5))
-            pa, pb = PolyQ(a), PolyQ(b)
-            x = rng.normal(size=5) + 1j * rng.normal(size=5)
-            assert np.allclose((pa + pb)(x), pa(x) + pb(x), atol=1e-12)
-            assert np.allclose((pa - pb)(x), pa(x) - pb(x), atol=1e-12)
-            assert np.allclose((pa * pb)(x), pa(x) * pb(x), atol=1e-11)
 
 
 class TestRationalTF:
@@ -82,30 +71,6 @@ class TestRationalTF:
         tf = RationalTF([1.0], [1.0, -1.0])  # den vanishes at x = 1 (omega 0)
         with pytest.raises(ValueError, match="pole on the unit circle"):
             tf.eval_at(np.array([0.0, 1.0]))
-
-    def test_arithmetic_consistent_with_pointwise_values(self):
-        rng = np.random.default_rng(7)
-        om = np.linspace(0, 2 * np.pi, 11, endpoint=False)
-        for _ in range(20):
-            a = RationalTF(rng.normal(size=3), [1.0, *rng.normal(size=2) * 0.2])
-            b = RationalTF(rng.normal(size=2), [1.0, *rng.normal(size=1) * 0.2])
-            va, vb = a.eval_at(om), b.eval_at(om)
-            assert np.allclose((a + b).eval_at(om), va + vb, atol=1e-10)
-            assert np.allclose((a - b).eval_at(om), va - vb, atol=1e-10)
-            assert np.allclose((a * b).eval_at(om), va * vb, atol=1e-10)
-
-    def test_module_level_wrappers(self):
-        a = RationalTF([0.0, 1.0])
-        b = RationalTF([1.0])
-        om = np.array([0.3, 1.2])
-        assert np.allclose(tf_eval(a, om), a.eval_at(om))
-        assert np.allclose(tf_arith(a, b, "add").eval_at(om),
-                           a.eval_at(om) + b.eval_at(om))
-        assert np.allclose(tf_arith(a, b, "mul").eval_at(om), a.eval_at(om))
-        assert np.allclose(tf_arith(a, b, "sub").eval_at(om),
-                           a.eval_at(om) - 1.0)
-        with pytest.raises(ValueError):
-            tf_arith(a, b, "div")
 
 
 class TestStability:
