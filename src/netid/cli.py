@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .direct import DirectModelStructure, estimate_direct
 from .experiments import (ResultTable, Scenario, check_scenario,
                           default_network_file, default_scenario_file,
                           emit_results, load_scenarios, read_results,
-                          run_local_pipeline, run_monte_carlo,
+                          run_local_pipeline, run_monte_carlo, summarize,
                           write_scatter_svgs)
 from .local import plan_experiment_for_model
 from .iomap import true_T
@@ -92,7 +91,7 @@ def _cmd_direct(args) -> int:
     scn = _select_scenarios(args.scenario)[0]
     samples = args.samples if args.samples is not None else scn.samples_per_run
     seed = args.seed if args.seed is not None else scn.base_seed
-    check_scenario(scn, model)
+    check_scenario(scn, model, samples)
     j = scn.target[0]
     structure = DirectModelStructure.from_model(model, j)
     spec = ExcitationSpec(scn.excited_nodes, N=samples, seed=seed,
@@ -139,11 +138,7 @@ def _cmd_montecarlo(args) -> int:
     all_failed = []
     for scn in scenarios:
         if args.seed is not None:
-            scn = Scenario(id=scn.id, excited_nodes=scn.excited_nodes,
-                           method=scn.method, target=scn.target,
-                           runs=scn.runs, samples_per_run=scn.samples_per_run,
-                           base_seed=args.seed, r_var=scn.r_var,
-                           v_var=scn.v_var)
+            scn = dataclasses.replace(scn, base_seed=args.seed)
         row = run_monte_carlo(scn, model, runs=args.runs,
                               samples=args.samples,
                               fir_order=args.fir_order,
@@ -209,12 +204,9 @@ def _cmd_report(args) -> int:
     print(f"{'scenario':>8}  {'runs':>5}  {'mean a1':>9}  {'mean a2':>9}  "
           f"{'std a1':>9}  {'std a2':>9}  {'informative':>11}")
     for sid, runs in per_scenario.items():
-        a1 = np.array([r.a1 for r in runs])
-        a2 = np.array([r.a2 for r in runs])
-        inf_rate = sum(r.informative for r in runs) / len(runs)
-        print(f"{sid:>8}  {len(runs):>5}  {np.nanmean(a1):>9.4f}  "
-              f"{np.nanmean(a2):>9.4f}  {np.nanstd(a1):>9.4g}  "
-              f"{np.nanstd(a2):>9.4g}  {inf_rate:>10.0%}")
+        (m1, m2), (s1, s2), inf_rate = summarize(runs)
+        print(f"{sid:>8}  {len(runs):>5}  {m1:>9.4f}  {m2:>9.4f}  "
+              f"{s1:>9.4g}  {s2:>9.4g}  {inf_rate:>10.0%}")
     if args.format == "svg":
         for svg in write_scatter_svgs(per_scenario, args.out):
             print(f"wrote {svg}")

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkModel, SignalRecord
-from .tf import RationalTF
 
 #: Gram condition number above which an experiment is flagged non-informative.
-DEFAULT_INFORMATIVITY_THRESHOLD = 1e6
+INFORMATIVITY_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,8 @@ class DirectModelStructure:
         nbrs = model.in_neighbors(target_node)
         if not nbrs:
             raise ValueError(f"node {target_node} has no in-neighbors")
-        bands = []
-        for k in nbrs:
-            tf = model.edge(target_node, k)
-            if tf.den.degree > 0:
-                raise ValueError(
-                    f"module ({target_node},{k}) is rational; the direct "
-                    f"least-squares method handles FIR modules only")
-            bands.append((tf.relative_degree, tf.num.degree))
         return cls(target_node=target_node, regressor_nodes=nbrs,
-                   bands=tuple(bands))
+                   bands=tuple(model.fir_band(target_node, k) for k in nbrs))
 
     @property
     def max_delay(self) -> int:
@@ -83,6 +74,12 @@ class DirectModelStructure:
     @property
     def param_count(self) -> int:
         return sum(d1 - d0 + 1 for d0, d1 in self.bands)
+
+    def check_record_length(self, N: int) -> None:
+        """Raise unless an N-sample record leaves the regressor a row."""
+        if N <= self.max_delay:
+            raise ValueError(f"record too short: {N} samples <= max delay "
+                             f"{self.max_delay}")
 
     def slices(self) -> tuple[slice, ...]:
         """Parameter-vector slice for each regressor edge, in band order."""
@@ -102,10 +99,9 @@ def build_regressor(record: SignalRecord,
     target is y(t) = w_j(t) - r_j(t), the part of node j's signal explained
     by its in-neighbors and the disturbance.
     """
-    maxd = structure.max_delay
     N = record.N
-    if N <= maxd:
-        raise ValueError(f"record too short: {N} samples <= max delay {maxd}")
+    structure.check_record_length(N)
+    maxd = structure.max_delay
     rows = N - maxd
     cols = []
     for node, (d0, d1) in zip(structure.regressor_nodes, structure.bands):
@@ -133,17 +129,9 @@ class DirectEstimate:
         k = self.structure.regressor_nodes.index(node)
         return self.theta_hat[self.structure.slices()[k]]
 
-    def edge_tf(self, node: int) -> RationalTF:
-        """Estimated module from `node` as a transfer function."""
-        k = self.structure.regressor_nodes.index(node)
-        d0, _ = self.structure.bands[k]
-        coeffs = np.concatenate([np.zeros(d0), self.coefficients_for(node)])
-        return RationalTF(coeffs if coeffs.size else [0.0])
 
-
-def estimate_direct(record: SignalRecord, structure: DirectModelStructure,
-                    informativity_threshold: float = DEFAULT_INFORMATIVITY_THRESHOLD
-                    ) -> DirectEstimate:
+def estimate_direct(record: SignalRecord,
+                    structure: DirectModelStructure) -> DirectEstimate:
     """Prediction-error estimate of all modules into the target node.
 
     The minimizer of the squared prediction error is computed by SVD-based
@@ -165,5 +153,5 @@ def estimate_direct(record: SignalRecord, structure: DirectModelStructure,
         theta_hat=theta,
         gram_condition=cond,
         residual_variance=float(resid @ resid / resid.size),
-        informative=bool(cond < informativity_threshold),
+        informative=bool(cond < INFORMATIVITY_THRESHOLD),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .direct import DirectModelStructure, estimate_direct
 from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
-                    ParametricFit, estimate_T_entries, fit_parametric,
+                    check_record_length, estimate_T_entries, fit_parametric,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
 from .iomap import is_internally_stable, true_T
@@ -229,12 +229,6 @@ class ScenarioResult:
 class ResultTable:
     rows: tuple[ScenarioResult, ...]
 
-    def for_scenario(self, scenario_id: str) -> ScenarioResult:
-        for row in self.rows:
-            if row.scenario.id == scenario_id:
-                return row
-        raise KeyError(f"no results for scenario {scenario_id}")
-
 
 def _worker_count(explicit: int | None = None) -> int:
     cap = os.environ.get("NETID_WORKERS")
@@ -247,21 +241,28 @@ def _worker_count(explicit: int | None = None) -> int:
     return max(n, 1)
 
 
+def summarize(runs) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """Mean and sample standard deviation (ddof 1; 0 for a single value) of
+    a1 and of a2 over the runs that have a value, and the informative rate
+    over all runs.  A failed run reads nan, as results.csv records it, so it
+    counts in the rate's denominator and in neither statistic."""
+    coeffs = np.array([(r.a1, r.a2) for r in runs], dtype=float).reshape(-1, 2)
+    mean, std = [], []
+    for col in coeffs.T:
+        x = col[~np.isnan(col)]
+        mean.append(float(x.mean()) if x.size else math.nan)
+        std.append(float(x.std(ddof=1)) if x.size > 1
+                   else 0.0 if x.size else math.nan)
+    rate = sum(r.informative for r in runs) / len(runs) if runs else math.nan
+    return (mean[0], mean[1]), (std[0], std[1]), rate
+
+
 def _aggregate(scenario: Scenario, results: list[RunResult]) -> ScenarioResult:
     results.sort(key=lambda r: r.run)
-    ok = [(r.a1, r.a2) for r in results if r.error is None]
-    if ok:
-        arr = np.array(ok)
-        mean = (float(arr[:, 0].mean()), float(arr[:, 1].mean()))
-        std = (float(arr[:, 0].std(ddof=1)) if len(ok) > 1 else 0.0,
-               float(arr[:, 1].std(ddof=1)) if len(ok) > 1 else 0.0)
-    else:
-        mean = (math.nan, math.nan)
-        std = (math.nan, math.nan)
-    n_inf = sum(1 for r in results if r.error is None and r.informative)
+    mean, std, rate = summarize(results)
     return ScenarioResult(
         scenario=scenario, runs=tuple(results), mean=mean, std=std,
-        informative_rate=n_inf / len(results) if results else math.nan,
+        informative_rate=rate,
         failed_runs=sum(1 for r in results if r.error is not None))
 
 
@@ -269,35 +270,41 @@ def _node_list(nodes) -> str:
     return "{" + ",".join(map(str, sorted(nodes))) + "}"
 
 
-def check_scenario(scenario: Scenario, model: NetworkModel) -> None:
+def check_scenario(scenario: Scenario, model: NetworkModel, samples: int,
+                   fir_order: int = DEFAULT_FIR_ORDER) -> None:
     """Raise, naming the problem, for a scenario that every run would fail
     the same way: a target module or excited node the model lacks, an
-    unstable model, or a local scenario whose excite set is not its plan's
-    (the plan decides what a local run excites) or whose solve recovers a
-    rational module."""
+    unstable model, a rational target, or runs of `samples` samples too
+    short for the estimator (the direct regressor's delays; for a local
+    scenario, the T-entry regression of FIR order `fir_order`).  A local
+    scenario's excite set must also be its plan's, since the plan decides
+    what a local run excites."""
     j, i = scenario.target
-    if not model.has_edge(j, i):
-        raise ValueError(f"scenario {scenario.id}: target module ({j},{i}) "
-                         f"is not an edge of the model")
-    outside = [n for n in scenario.excited_nodes if n > model.L]
-    if outside:
-        raise ValueError(f"scenario {scenario.id}: excited nodes "
-                         f"{_node_list(outside)} outside 1..{model.L}")
-    if not is_internally_stable(model):
-        raise ValueError(f"scenario {scenario.id}: the model is not "
-                         f"internally stable; every run would diverge")
-    if scenario.method == "local":
+    try:
+        if not model.has_edge(j, i):
+            raise ValueError(f"target module ({j},{i}) is not an edge of "
+                             f"the model")
+        outside = [n for n in scenario.excited_nodes if n > model.L]
+        if outside:
+            raise ValueError(f"excited nodes {_node_list(outside)} outside "
+                             f"1..{model.L}")
+        if not is_internally_stable(model):
+            raise ValueError("the model is not internally stable; every run "
+                             "would diverge")
+        if scenario.method == "direct":
+            DirectModelStructure.from_model(model, j).check_record_length(
+                samples)
+            return
         plan = plan_experiment_for_model(model, (j, i))
         if set(scenario.excited_nodes) != set(plan.excite_set):
             raise ValueError(
-                f"scenario {scenario.id}: excite "
-                f"{_node_list(scenario.excited_nodes)} differs from the local "
-                f"plan's excite set {_node_list(plan.excite_set)} for target "
-                f"({j},{i})")
-        try:
-            _fit_bands(model, plan)
-        except ValueError as e:
-            raise ValueError(f"scenario {scenario.id}: {e}") from None
+                f"excite {_node_list(scenario.excited_nodes)} differs from "
+                f"the local plan's excite set {_node_list(plan.excite_set)} "
+                f"for target ({j},{i})")
+        model.fir_band(j, i)
+        check_record_length(samples, fir_order, len(plan.cols))
+    except ValueError as e:
+        raise ValueError(f"scenario {scenario.id}: {e}") from None
 
 
 def run_monte_carlo(scenario: Scenario, model: NetworkModel,
@@ -318,7 +325,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
-    check_scenario(scenario, model)
+    check_scenario(scenario, model, n_samples, fir_order)
     j, i = scenario.target
 
     if scenario.method == "direct":
@@ -374,28 +381,6 @@ class ModuleEstimate:
     entry_fit_scores: dict[tuple[int, int], float]
     dropped_points: int
     residual_rms: float
-    solved_modules: dict[tuple[int, int], ParametricFit]
-
-    @property
-    def tf(self):
-        return self.solved_modules[self.target].tf
-
-
-def _fit_bands(model: NetworkModel, plan: MethodChoice
-               ) -> dict[tuple[int, int], tuple[int, int]]:
-    """FIR band of each module the plan's solve recovers (those leaving the
-    source, or entering the sink); raises for a rational one."""
-    j, i = plan.target
-    modules = ([(m, i) for m in plan.measure_set] if plan.which == "source"
-               else [(j, k) for k in plan.excite_set])
-    bands = {}
-    for to_node, from_node in modules:
-        tf = model.edge(to_node, from_node)
-        if tf.den.degree > 0:
-            raise ValueError(f"module ({to_node},{from_node}) is rational; "
-                             f"parametric fitting covers FIR modules only")
-        bands[(to_node, from_node)] = (tf.relative_degree, tf.num.degree)
-    return bands
 
 
 def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
@@ -425,7 +410,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
             raise RuntimeError(f"[{name}] {e}") from e
 
     plan = stage("plan", plan_experiment_for_model, model, (j, i))
-    bands = stage("plan", _fit_bands, model, plan)
+    band = stage("plan", model.fir_band, j, i)
     grid = FreqGrid.uniform(grid_points)
 
     if exact_T:
@@ -445,17 +430,12 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     else:
         solved = stage("solve", solve_sink_side, tmat, j, plan.excite_set)
 
-    fits: dict[tuple[int, int], ParametricFit] = {}
-    for module in solved.modules:
-        fits[module] = stage("fit", fit_parametric,
-                             solved.module_samples(*module), bands[module],
-                             grid=solved.grid)
-    target_fit = fits[(j, i)]
+    fit = stage("fit", fit_parametric, solved.module_samples(j, i), band,
+                grid=solved.grid)
     return ModuleEstimate(
-        target=(j, i), band=target_fit.band,
-        coefficients=target_fit.coefficients, plan=plan,
-        entry_fit_scores=fit_scores, dropped_points=solved.dropped_points,
-        residual_rms=target_fit.residual_rms, solved_modules=fits)
+        target=(j, i), band=fit.band, coefficients=fit.coefficients,
+        plan=plan, entry_fit_scores=fit_scores,
+        dropped_points=solved.dropped_points, residual_rms=fit.residual_rms)
 
 
 # -- result emission ------------------------------------------------------------

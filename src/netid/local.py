@@ -29,13 +29,13 @@ checks its rank before the solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .iomap import FreqResponseMatrix
 from .model import NetworkModel, SignalRecord
-from .tf import FreqGrid, RationalTF
+from .tf import FreqGrid
 
 #: Grid points whose local solve exceeds this condition number are dropped.
 CONDITION_LIMIT = 1e10
@@ -155,19 +155,8 @@ class TSubmatrixEstimate:
     fir_order: int
 
     @property
-    def rows(self) -> tuple[int, ...]:
-        return self.freq.rows
-
-    @property
     def cols(self) -> tuple[int, ...]:
         return self.freq.cols
-
-    @property
-    def grid(self) -> FreqGrid:
-        return self.freq.grid
-
-    def fit_score(self, row_node: int) -> float:
-        return self.fit_scores[self.rows.index(row_node)]
 
     def entry_fit_scores(self) -> dict[tuple[int, int], float]:
         """Fit score per estimated entry (row and column node labels).
@@ -175,13 +164,7 @@ class TSubmatrixEstimate:
         Entries of a row share the row's score because the row is one joint
         MISO regression."""
         return {(r, c): self.fit_scores[k]
-                for k, r in enumerate(self.rows) for c in self.cols}
-
-    def entry_tf(self, row_node: int, col_node: int) -> RationalTF:
-        """Estimated T entry as an FIR transfer function."""
-        r = self.rows.index(row_node)
-        c = self.cols.index(col_node)
-        return RationalTF(self.coefficients[r, c])
+                for k, r in enumerate(self.freq.rows) for c in self.cols}
 
 
 def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
@@ -225,6 +208,23 @@ def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
     return gram.reshape(n_params, n_params), rhs
 
 
+def check_record_length(N: int, fir_order: int, n_excitations: int) -> None:
+    """Raise unless an N-sample record leaves the FIR regression on lags
+    0..fir_order of n_excitations excitations at least as many rows
+    (N - fir_order) as parameters."""
+    if fir_order < 1:
+        raise ValueError("fir_order must be at least 1")
+    if N <= fir_order:
+        raise ValueError(f"record too short: {N} samples <= FIR order "
+                         f"{fir_order}")
+    n_params = n_excitations * (fir_order + 1)
+    if N - fir_order < n_params:
+        raise ValueError(
+            f"T-entry regressor is rank-deficient ({N - fir_order} rows < "
+            f"{n_params} parameters); the record is too short for FIR order "
+            f"{fir_order}")
+
+
 def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
                        cols: Iterable[int],
                        fir_order: int = DEFAULT_FIR_ORDER,
@@ -247,8 +247,7 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     col_nodes = _node_set(cols)
     if not row_nodes or not col_nodes:
         raise ValueError("rows and cols must be nonempty")
-    if fir_order < 1:
-        raise ValueError("fir_order must be at least 1")
+    check_record_length(record.N, fir_order, len(col_nodes))
     if grid is None:
         grid = FreqGrid.uniform(DEFAULT_GRID_POINTS)
     for c in col_nodes:
@@ -259,13 +258,6 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
 
     P = fir_order
     N = record.N
-    if N <= P:
-        raise ValueError(f"record too short: {N} samples <= FIR order {P}")
-    n_params = len(col_nodes) * (P + 1)
-    if N - P < n_params:
-        raise ValueError(
-            f"T-entry regressor is rank-deficient ({N - P} rows < {n_params} "
-            f"parameters); the record is too short for FIR order {P}")
     r = np.stack([record.node_excitation(c) for c in col_nodes])
     w = np.stack([record.node_output(m) for m in row_nodes])
     gram, rhs = _normal_equations(r, w, P)
@@ -327,25 +319,17 @@ class LocalSolveResult:
         return self.samples[:, k]
 
 
-TMatrixLike = Union[FreqResponseMatrix, TSubmatrixEstimate]
-
-
-def _as_freq_matrix(tmat: TMatrixLike) -> FreqResponseMatrix:
-    return tmat.freq if isinstance(tmat, TSubmatrixEstimate) else tmat
-
-
 def _solve_filtered(A: np.ndarray, B: np.ndarray, grid: FreqGrid,
-                    condition_limit: float, max_drop_fraction: float,
                     side_label: str) -> tuple[np.ndarray, FreqGrid, int, float]:
     """Per-frequency solve of A[k] x = B[k], dropping ill-conditioned points."""
     conds = np.linalg.cond(A)
-    keep = np.isfinite(conds) & (conds <= condition_limit)
+    keep = np.isfinite(conds) & (conds <= CONDITION_LIMIT)
     dropped = int(np.count_nonzero(~keep))
     total = len(grid)
-    if dropped > max_drop_fraction * total:
+    if dropped > MAX_DROP_FRACTION * total:
         raise ValueError(
             f"{side_label} solve is ill-conditioned at {dropped} of {total} "
-            f"grid points (limit {max_drop_fraction:.0%}); the invertibility "
+            f"grid points (limit {MAX_DROP_FRACTION:.0%}); the invertibility "
             f"premise of the local method fails for this experiment")
     X = np.linalg.solve(A[keep], B[keep])
     kept_grid = FreqGrid(grid.as_array()[keep])
@@ -353,54 +337,46 @@ def _solve_filtered(A: np.ndarray, B: np.ndarray, grid: FreqGrid,
     return X[..., 0], kept_grid, dropped, max_cond
 
 
-def solve_source_side(tmat: TMatrixLike, source: int,
-                      out_neighbors: Iterable[int],
-                      condition_limit: float = CONDITION_LIMIT,
-                      max_drop_fraction: float = MAX_DROP_FRACTION
-                      ) -> LocalSolveResult:
+def solve_source_side(tmat: FreqResponseMatrix, source: int,
+                      out_neighbors: Iterable[int]) -> LocalSolveResult:
     """Recover all modules leaving `source` from T entries.
 
     At each grid frequency solves T[N+, N+] x = T[N+, source] for
     x = G[N+, source], where N+ = out_neighbors.
     """
-    freq = _as_freq_matrix(tmat)
     nbrs = _node_set(out_neighbors)
     if not nbrs:
         raise ValueError(f"source node {source} has no out-neighbors")
-    A = freq.submatrix(nbrs, nbrs)
-    b = freq.submatrix(nbrs, (source,))
-    X, kept, dropped, max_cond = _solve_filtered(
-        A, b, freq.grid, condition_limit, max_drop_fraction, "source-side")
+    A = tmat.submatrix(nbrs, nbrs)
+    b = tmat.submatrix(nbrs, (source,))
+    X, kept, dropped, max_cond = _solve_filtered(A, b, tmat.grid,
+                                                 "source-side")
     return LocalSolveResult(
         modules=tuple((m, source) for m in nbrs),
         grid=kept, samples=X, dropped_points=dropped,
-        total_points=len(freq.grid), max_condition=max_cond)
+        total_points=len(tmat.grid), max_condition=max_cond)
 
 
-def solve_sink_side(tmat: TMatrixLike, sink: int,
-                    in_neighbors: Iterable[int],
-                    condition_limit: float = CONDITION_LIMIT,
-                    max_drop_fraction: float = MAX_DROP_FRACTION
-                    ) -> LocalSolveResult:
+def solve_sink_side(tmat: FreqResponseMatrix, sink: int,
+                    in_neighbors: Iterable[int]) -> LocalSolveResult:
     """Recover all modules entering `sink` from T entries.
 
     At each grid frequency solves the row system
     x T[N-, N-] = T[sink, N-] for x = G[sink, N-], where N- = in_neighbors.
     """
-    freq = _as_freq_matrix(tmat)
     nbrs = _node_set(in_neighbors)
     if not nbrs:
         raise ValueError(f"sink node {sink} has no in-neighbors")
-    A = freq.submatrix(nbrs, nbrs)
-    b = freq.submatrix((sink,), nbrs)  # (K, 1, d)
+    A = tmat.submatrix(nbrs, nbrs)
+    b = tmat.submatrix((sink,), nbrs)  # (K, 1, d)
     At = np.transpose(A, (0, 2, 1))
     bt = np.transpose(b, (0, 2, 1))  # (K, d, 1)
-    X, kept, dropped, max_cond = _solve_filtered(
-        At, bt, freq.grid, condition_limit, max_drop_fraction, "sink-side")
+    X, kept, dropped, max_cond = _solve_filtered(At, bt, tmat.grid,
+                                                 "sink-side")
     return LocalSolveResult(
         modules=tuple((sink, k) for k in nbrs),
         grid=kept, samples=X, dropped_points=dropped,
-        total_points=len(freq.grid), max_condition=max_cond)
+        total_points=len(tmat.grid), max_condition=max_cond)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,12 +386,6 @@ class ParametricFit:
     band: tuple[int, int]
     coefficients: np.ndarray  # ascending delay over the band
     residual_rms: float
-
-    @property
-    def tf(self) -> RationalTF:
-        d0, _ = self.band
-        full = np.concatenate([np.zeros(d0), self.coefficients])
-        return RationalTF(full if full.size else [0.0])
 
 
 def fit_parametric(samples: np.ndarray, band: tuple[int, int],

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .tf import PolyQ, RationalTF
+from .tf import RationalTF
 
 # (I - D0) with condition number above this is treated as singular, where D0
 # is the zero-delay (feedthrough) coefficient matrix.
@@ -91,6 +91,16 @@ class NetworkModel:
 
     def has_edge(self, j: int, i: int) -> bool:
         return (j, i) in self._edges
+
+    def fir_band(self, j: int, i: int) -> tuple[int, int]:
+        """(first, last) delay of FIR module (j, i)'s numerator, the band its
+        estimators parametrize; raises for a rational module, whose impulse
+        response has no finite band."""
+        tf = self.edge(j, i)
+        if tf.den.degree > 0:
+            raise ValueError(f"module ({j},{i}) is rational; the estimators "
+                             f"fit FIR modules only")
+        return tf.relative_degree, tf.num.degree
 
     def edge_items(self):
         """Edges as a sorted tuple of ((j, i), tf) pairs (deterministic order)."""

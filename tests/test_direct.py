@@ -96,15 +96,6 @@ class TestEstimate:
         resid = y - Phi @ est.theta_hat
         assert np.all(np.abs(Phi.T @ resid) < 1e-6 * np.abs(Phi.T @ y).max())
 
-    def test_edge_tf_places_coefficients_at_band_delays(self, case_study):
-        spec = ExcitationSpec(range(1, 21), N=2000, seed=8, v_variance=0.0)
-        record = simulate(case_study, spec)
-        s = DirectModelStructure.from_model(case_study, 3)
-        est = estimate_direct(record, s)
-        tf = est.edge_tf(4)
-        assert tf.den.degree == 0
-        assert np.allclose(tf.num.coeffs, (0.0, -0.3, 0.8), atol=1e-8)
-
     def test_zero_signals_give_min_norm_solution_and_flag(self, case_study):
         w = np.zeros((20, 100))
         rec = SignalRecord(w=w, r=w, v=w, seed=0)
@@ -144,10 +135,3 @@ class TestInformativity:
             DirectModelStructure.from_model(case_study, 3))
         assert not est.informative
         assert est.gram_condition > 1e6
-
-    def test_threshold_is_configurable(self, case_study):
-        spec = ExcitationSpec(range(1, 21), N=1000, seed=13)
-        rec = simulate(case_study, spec)
-        s = DirectModelStructure.from_model(case_study, 3)
-        est = estimate_direct(rec, s, informativity_threshold=1.0)
-        assert not est.informative

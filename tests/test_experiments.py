@@ -1,15 +1,17 @@
 """Experiment harness: scenario files, Monte-Carlo, emission, CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
 from netid import (RationalTF, ResultTable, Scenario, ScenarioFormatError,
-                   emit_results, load_scenarios, read_results,
-                   run_local_pipeline, run_monte_carlo)
+                   emit_results, load_scenarios, plan_experiment_for_model,
+                   read_results, run_local_pipeline, run_monte_carlo)
 from netid import cli, experiments
 from netid.cli import main
-from netid.experiments import (_worker_count, default_network_file,
-                               default_scenario_file)
+from netid.experiments import (_worker_count, check_scenario,
+                               default_network_file, default_scenario_file)
 
 GOOD_FILE = """\
 # comment
@@ -31,6 +33,14 @@ scenario b
   r_var 2.0
   v_var 0.0
 """
+
+
+@pytest.fixture()
+def failing_estimator(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("injected estimator failure")
+
+    monkeypatch.setattr(experiments, "estimate_direct", fail)
 
 
 class TestScenarioFile:
@@ -155,11 +165,13 @@ class TestMonteCarlo:
         assert abs(row.mean[1] - 0.8) < 1e-8
         assert row.informative_rate == 1.0
 
-    def test_per_run_errors_recorded_not_fatal(self, case_study):
-        # 2 samples < max regressor delay: every run fails inside the
-        # estimator, and the batch still aggregates
-        scn = Scenario(id="short", excited_nodes=(1,), method="direct",
-                       target=(3, 4), runs=3, samples_per_run=2, base_seed=0)
+    def test_per_run_errors_recorded_not_fatal(self, case_study,
+                                               failing_estimator):
+        # every run fails inside the estimator, and the batch still
+        # aggregates
+        scn = Scenario(id="fail", excited_nodes=(1,), method="direct",
+                       target=(3, 4), runs=3, samples_per_run=200,
+                       base_seed=0)
         row = run_monte_carlo(scn, case_study)
         assert row.failed_runs == 3
         assert all(r.error is not None for r in row.runs)
@@ -202,6 +214,22 @@ class TestMonteCarlo:
                             lambda *args, **kwargs: calls.append(args))
         return calls
 
+    @pytest.mark.parametrize("method, excited, samples, problem", [
+        ("direct", tuple(range(1, 21)), 2,
+         r"record too short: 2 samples <= max delay 2"),
+        ("local", (3, 4, 5, 6), 600,
+         r"T-entry regressor is rank-deficient \(450 rows < 604 "
+         r"parameters\)")], ids=["direct", "local"])
+    def test_short_record_fails_before_any_run(self, case_study, simulated,
+                                               method, excited, samples,
+                                               problem):
+        scn = Scenario(id="short", excited_nodes=excited, method=method,
+                       target=(3, 4), runs=3, samples_per_run=samples,
+                       base_seed=0)
+        with pytest.raises(ValueError, match="scenario short: " + problem):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
     def test_unstable_model_fails_before_any_run(self, case_study,
                                                  simulated):
         # (3,4) scaled x40: spectral radius 4, every run would diverge
@@ -235,6 +263,16 @@ class TestMonteCarlo:
                                              r"\(11,10\) is rational"):
             run_monte_carlo(scn, case_study)
         assert simulated == []
+
+    def test_local_scenario_with_rational_sibling_accepted(self,
+                                                           case_study):
+        # the source side of (8,13) holds the rational (14,13); only the
+        # target is fitted, so the check passes
+        plan = plan_experiment_for_model(case_study, (8, 13))
+        scn = Scenario(id="sib", excited_nodes=plan.excite_set,
+                       method="local", target=(8, 13), runs=3,
+                       samples_per_run=10_000, base_seed=0)
+        check_scenario(scn, case_study, 10_000)
 
     def test_local_method_batch(self, case_study):
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
@@ -270,7 +308,6 @@ class TestLocalPipeline:
         assert abs(est.coefficients[0] - (-0.3)) < 0.05
         assert abs(est.coefficients[1] - 0.8) < 0.05
         assert len(est.entry_fit_scores) == 12
-        assert (3, 4) in est.solved_modules
 
     def test_sink_side_target(self, case_study):
         # node 1 has two out-neighbors but node 2 three in-neighbors; pick a
@@ -279,6 +316,21 @@ class TestLocalPipeline:
         true_num = case_study.edge(2, 8).num.coeffs
         assert np.allclose(est.coefficients, true_num[est.band[0]:],
                            atol=1e-8)
+
+    @pytest.mark.parametrize("target", [(8, 13), (9, 10)])
+    def test_target_with_rational_sibling(self, case_study, target):
+        # the source side holds rational modules besides the FIR target:
+        # (14,13), resp. (11,10), (12,10) and (18,10)
+        est = run_local_pipeline(case_study, target, exact_T=True)
+        assert est.plan.which == "source"
+        true_num = case_study.edge(*target).num.coeffs
+        assert np.allclose(est.coefficients, true_num[est.band[0]:],
+                           rtol=0, atol=1e-8)
+
+    def test_rational_target_rejected_at_plan(self, case_study):
+        with pytest.raises(RuntimeError,
+                           match=r"\[plan\] module \(11,10\) is rational"):
+            run_local_pipeline(case_study, (11, 10), exact_T=True)
 
     def test_stage_label_on_error(self, case_study):
         with pytest.raises(RuntimeError, match=r"\[plan\]"):
@@ -402,15 +454,56 @@ class TestCLI:
         assert "target module (3,7) is not an edge" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_montecarlo_all_runs_failed_exits_1(self, tmp_path, capsys):
-        # 2 samples are shorter than the regressor's delays: every run fails
+    def test_montecarlo_all_runs_failed_exits_1(self, tmp_path, capsys,
+                                                failing_estimator):
         rc = main(["montecarlo", "--scenario", "1", "--runs", "2",
-                   "--samples", "2", "--out", str(tmp_path)])
+                   "--samples", "200", "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "scenario 1: all 2 runs failed" in err
-        assert "record too short" in err
+        assert "injected estimator failure" in err
         assert len(read_results(tmp_path / "results.csv")["1"]) == 2
+
+    def test_montecarlo_short_record_fails_before_any_run(self, tmp_path,
+                                                          capsys):
+        # 2 samples are shorter than the regressor's delays
+        rc = main(["montecarlo", "--scenario", "1", "--runs", "3",
+                   "--samples", "2", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert ("scenario 1: record too short: 2 samples <= max delay 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_report_prints_the_montecarlo_summary(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the same statistics from both commands, also when failed runs
+        # (nan rows in results.csv) are left out of them
+        def summaries(out):
+            assert main(["montecarlo", "--scenario", "1", "--runs", "4",
+                         "--samples", "2000", "--out", str(out)]) == 0
+            mc = re.search(r"scenario 1: mean \((\S+), (\S+)\)  std "
+                           r"\((\S+), (\S+)\)  informative (\S+)",
+                           capsys.readouterr().out).groups()
+            assert main(["report", "--out", str(out)]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split()
+            assert row[:2] == ["1", "4"]
+            return mc, tuple(row[2:])
+
+        mc, report = summaries(tmp_path / "ok")
+        assert mc == report
+
+        real = experiments.estimate_direct
+
+        def fails_on_odd_seeds(record, structure):
+            if record.seed % 2:
+                raise ValueError("injected estimator failure")
+            return real(record, structure)
+
+        monkeypatch.setattr(experiments, "estimate_direct",
+                            fails_on_odd_seeds)
+        mc_failed, report_failed = summaries(tmp_path / "failed")
+        assert mc_failed == report_failed
+        assert mc_failed != mc and "nan" not in mc_failed
 
     def test_direct_missing_target_edge_exits_1(self, tmp_path, capsys,
                                                 monkeypatch):
