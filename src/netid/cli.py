@@ -5,9 +5,9 @@ Subcommands:
 * simulate   - run the network simulator and dump node signals to CSV
 * direct     - one-shot direct (prediction-error) estimate of a node's modules
 * local      - local two-step identification of one module
-* montecarlo - scenario batches with CSV/SVG emission
+* montecarlo - scenario batches, per-run results written to results.csv
 * truth      - exact frequency responses of T (and the target module of G)
-* report     - summarize / re-render a previously emitted results.csv
+* report     - summarize a results.csv, optionally as SVG scatter plots
 
 Exit status is 0 on success and 1 on any error, including a Monte-Carlo
 scenario whose every run failed; error messages carry the failing stage's
@@ -24,13 +24,12 @@ from pathlib import Path
 
 from .direct import DirectModelStructure, estimate_direct
 from .experiments import (ResultTable, Scenario, check_scenario,
-                          default_network_file, default_scenario_file,
-                          emit_results, load_scenarios, read_results,
-                          run_local_pipeline, run_monte_carlo, summarize,
-                          write_scatter_svgs)
+                          default_scenario_file, emit_results,
+                          load_scenarios, read_results, run_local_pipeline,
+                          run_monte_carlo, summarize, write_scatter_svgs)
 from .local import plan_experiment_for_model
 from .iomap import true_T
-from .model import ExcitationSpec, load_network
+from .model import ExcitationSpec, default_network_file, load_network
 from .sim import simulate
 from .tf import FreqGrid
 
@@ -153,7 +152,7 @@ def _cmd_montecarlo(args) -> int:
         if row.failed_runs == len(row.runs):
             all_failed.append(row)
     table = ResultTable(rows=tuple(rows))
-    for path in emit_results(table, args.out, format=args.format):
+    for path in emit_results(table, args.out):
         print(f"wrote {path}")
     for row in all_failed:
         first = row.runs[0]
@@ -266,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fir-order", type=int, default=150)
     p.add_argument("--grid-points", type=int, default=100)
     p.add_argument("--out", default="netid-out", metavar="DIR")
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.set_defaults(fn=_cmd_montecarlo)
 
     p = sub.add_parser("truth", parents=[common],

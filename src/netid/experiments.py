@@ -1,4 +1,4 @@
-"""Experiment harness: scenario files, Monte-Carlo batches, result emission.
+"""Experiment harness: scenario files, Monte-Carlo batches, results.csv.
 
 A scenario bundles everything needed to reproduce an identification
 experiment: which nodes are excited, which estimator runs, the target
@@ -64,6 +64,9 @@ class Scenario:
             raise ValueError(f"scenario {self.id}: node indices are 1-based")
         if self.r_var < 0 or self.v_var < 0:
             raise ValueError(f"scenario {self.id}: variances must be >= 0")
+        if self.base_seed < 0:
+            raise ValueError(f"scenario {self.id}: seed must be >= 0, got "
+                             f"{self.base_seed}")
 
 
 class ScenarioFormatError(ValueError):
@@ -99,16 +102,19 @@ def load_scenarios(path) -> list[Scenario]:
             raise _scn_error(path, current_line,
                              f"scenario {current_id} is missing keys: "
                              f"{', '.join(sorted(missing))}")
-        scenarios.append(Scenario(
-            id=current_id,
-            excited_nodes=current["excite"],
-            method=current["method"],
-            target=current["target"],
-            runs=current["runs"],
-            samples_per_run=current["samples"],
-            base_seed=current["seed"],
-            r_var=current.get("r_var", 1.0),
-            v_var=current.get("v_var", 1e-6)))
+        try:
+            scenarios.append(Scenario(
+                id=current_id,
+                excited_nodes=current["excite"],
+                method=current["method"],
+                target=current["target"],
+                runs=current["runs"],
+                samples_per_run=current["samples"],
+                base_seed=current["seed"],
+                r_var=current.get("r_var", 1.0),
+                v_var=current.get("v_var", 1e-6)))
+        except ValueError as e:
+            raise _scn_error(path, current_line, str(e)) from None
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -193,11 +199,6 @@ def default_scenario_file() -> Path:
     return Path(__file__).parent / "data" / "case_study_scenarios.scn"
 
 
-def default_network_file() -> Path:
-    """Path of the 20-node case-study network shipped with the package."""
-    return Path(__file__).parent / "data" / "case_study_20.net"
-
-
 # -- Monte-Carlo ------------------------------------------------------------------
 
 
@@ -230,9 +231,9 @@ class ResultTable:
     rows: tuple[ScenarioResult, ...]
 
 
-def _worker_count(explicit: int | None = None) -> int:
+def _worker_count() -> int:
     cap = os.environ.get("NETID_WORKERS")
-    n = explicit if explicit is not None else min(os.cpu_count() or 1, 8)
+    n = min(os.cpu_count() or 1, 8)
     if cap is not None:
         try:
             n = min(n, int(cap))
@@ -309,7 +310,6 @@ def check_scenario(scenario: Scenario, model: NetworkModel, samples: int,
 
 def run_monte_carlo(scenario: Scenario, model: NetworkModel,
                     runs: int | None = None, samples: int | None = None,
-                    workers: int | None = None,
                     fir_order: int = DEFAULT_FIR_ORDER,
                     grid_points: int = DEFAULT_GRID_POINTS) -> ScenarioResult:
     """Run a scenario's Monte-Carlo batch and aggregate it.
@@ -362,7 +362,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
             return RunResult(run=k, a1=math.nan, a2=math.nan,
                              informative=False, error=str(e))
 
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         results = list(pool.map(safe_run, range(n_runs)))
     return _aggregate(scenario, results)
 
@@ -448,37 +448,28 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def emit_results(table: ResultTable, out_dir, format: str = "csv") -> list[Path]:
-    """Write per-run results to out_dir; returns the paths written.
+def emit_results(table: ResultTable, out_dir) -> list[Path]:
+    """Write per-run results to `out_dir/results.csv`; returns [that path].
 
-    csv: one `results.csv` with columns scenario_id, run, a1, a2,
-    informative — floats serialized with full round-trip precision so
-    identical batches produce byte-identical files.
-    svg: one scatter plot per scenario in (a1, a2) space.
+    Columns are scenario_id, run, a1, a2, informative; floats are serialized
+    with full round-trip precision so identical batches produce
+    byte-identical files.  `netid report --format svg` renders the scatter
+    plots from this file.
     """
     if not table.rows:
         raise ValueError("result table is empty")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if format == "csv":
-        path = out / "results.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in table.rows:
-                for rr in row.runs:
-                    writer.writerow([
-                        row.scenario.id, rr.run, _fmt_float(rr.a1),
-                        _fmt_float(rr.a2),
-                        "true" if rr.informative else "false"])
-        written.append(path)
-    elif format == "svg":
-        written.extend(write_scatter_svgs(
-            {row.scenario.id: row.runs for row in table.rows}, out))
-    else:
-        raise ValueError(f"unknown format {format!r}; expected 'csv' or 'svg'")
-    return written
+    path = out / "results.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in table.rows:
+            for rr in row.runs:
+                writer.writerow([
+                    row.scenario.id, rr.run, _fmt_float(rr.a1),
+                    _fmt_float(rr.a2), "true" if rr.informative else "false"])
+    return [path]
 
 
 def write_scatter_svgs(runs_by_scenario: dict, out_dir) -> list[Path]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -205,6 +206,8 @@ class ExcitationSpec:
             raise ValueError("sample count must be >= 1")
         if r_variance < 0 or v_variance < 0:
             raise ValueError("variances must be >= 0")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "excited_nodes", nodes)
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "seed", int(seed))
@@ -238,79 +241,6 @@ class SignalRecord:
 
     def node_excitation(self, i: int) -> np.ndarray:
         return self.r[i - 1]
-
-
-# -- the 20-node case-study network ------------------------------------------
-#
-# 56 modules; node 3's in-neighbors are {2, 4, 5, 9} and node 4's
-# out-neighbors are {3, 5, 6}.  The module of interest in the experiments is
-# (3, 4): G_34 = -0.3 q^-1 + 0.8 q^-2.  FIR entries are (num, (1,)); the
-# remaining entries are first-order with a single stable pole.
-
-_CASE_STUDY_EDGES = (
-    (2, 1, (-1.1576491e-01, 4.2048459e-02), (1.0,)),
-    (2, 6, (-4.9391907e-01, 2.3094301e-01), (1.0,)),
-    (2, 8, (-3.8295603e-01, 3.7364537e-01), (1.0,)),
-    (3, 2, (-2.3501597e-01, 2.2411979e-01), (1.0,)),
-    (3, 4, (0.0, -0.3, 0.8), (1.0,)),
-    (3, 5, (0.0, -0.5), (1.0,)),
-    (3, 9, (-1.5484356e-01, 3.5947903e-01), (1.0,)),
-    (4, 2, (-3.4361929e-01, 2.7664996e-01), (1.0,)),
-    (4, 3, (0.0, 1.0), (1.0,)),
-    (4, 6, (-4.4565148e-02, 3.1267256e-02), (1.0,)),
-    (4, 8, (-3.0217221e-02, 4.9084253e-01), (1.0,)),
-    (5, 1, (-4.4755747e-01, 1.5153359e-01), (1.0,)),
-    (5, 4, (0.0, 0.5), (1.0,)),
-    (5, 6, (-1.8258082e-02, 2.5655941e-02), (1.0,)),
-    (6, 4, (-4.0083967e-02, 2.3831631e-02), (1.0,)),
-    (6, 5, (-4.9526830e-02, 1.8655891e-02), (1.0,)),
-    (7, 8, (-4.2353188e-02, 1.7016841e-03), (1.0,)),
-    (7, 12, (-3.8831215e-01, 1.6625282e-01), (1.0,)),
-    (7, 14, (-1.3013545e-01, 3.2468616e-01), (1.0,)),
-    (8, 5, (-4.8312501e-01, 2.9208833e-01), (1.0,)),
-    (8, 7, (-4.3341455e-02, 2.6095021e-02), (1.0,)),
-    (8, 12, (-2.0610019e-01, 2.6998910e-01), (1.0,)),
-    (8, 13, (-1.4342078e-02, 3.4009137e-02), (1.0,)),
-    (9, 2, (-2.0348115e-01, 6.7364494e-02), (1.0,)),
-    (9, 6, (-2.9096829e-01, 6.1878182e-02), (1.0,)),
-    (9, 8, (-4.7096177e-01, 1.6149849e-01), (1.0,)),
-    (9, 10, (-3.6050395e-02, 4.1517977e-02), (1.0,)),
-    (9, 12, (-3.1296376e-02, 1.1860562e-01), (1.0,)),
-    (10, 8, (-3.0338765e-01, 4.1470173e-01), (1.0,)),
-    (10, 9, (-3.4408597e-02, 2.3732489e-03), (1.0,)),
-    (10, 12, (-3.4207005e-02, 4.4904179e-02), (1.0,)),
-    (11, 10, (0.0, 2.4710993e-01), (1.0, -5.0578013e-01)),
-    (11, 12, (0.0, 2.4512609e-02), (1.0, -5.0974782e-01)),
-    (11, 16, (0.0, 2.3010071e-01), (1.0, -5.3979857e-01)),
-    (12, 10, (0.0, 2.0528463e-02), (1.0, -5.8943074e-01)),
-    (12, 11, (0.0, 2.1646986e-02), (1.0, -5.6706027e-01)),
-    (12, 14, (0.0, 2.0877819e-01), (1.0, -5.8244362e-01)),
-    (12, 18, (0.0, 2.0657294e-01), (1.0, -5.8685411e-01)),
-    (13, 8, (0.0, 2.1848002e-02), (1.0, -5.6303996e-01)),
-    (13, 11, (0.0, 2.2137643e-01), (1.0, -5.5724714e-01)),
-    (13, 14, (0.0, 2.2709971e-02), (1.0, -5.4580058e-01)),
-    (14, 13, (0.0, 2.2787928e-02), (1.0, -5.4424144e-01)),
-    (14, 15, (0.0, 2.4571974e-01), (1.0, -5.0856052e-01)),
-    (15, 16, (0.0, 2.4854075e-01), (1.0, -5.0291850e-01)),
-    (15, 18, (0.0, 2.0964010e-01), (1.0, -5.8071980e-01)),
-    (16, 13, (0.0, 2.1627442e-01), (1.0, -5.6745117e-01)),
-    (17, 16, (0.0, 2.3606224e-01), (1.0, -5.2787553e-01)),
-    (17, 18, (0.0, 2.4035419e-02), (1.0, -5.1929163e-01)),
-    (17, 19, (0.0, 2.3030840e-01), (1.0, -5.3938319e-01)),
-    (18, 10, (0.0, 2.1838053e-01), (1.0, -5.6323893e-01)),
-    (18, 17, (0.0, 2.3869253e-02), (1.0, -5.2261494e-01)),
-    (19, 12, (0.0, 2.4800810e-01), (1.0, -5.0398380e-01)),
-    (19, 14, (0.0, 2.4554410e-01), (1.0, -5.0891181e-01)),
-    (19, 18, (0.0, 2.3382918e-01), (1.0, -5.3234164e-01)),
-    (20, 12, (0.0, 2.1965134e-01), (1.0, -5.6069731e-01)),
-    (20, 13, (0.0, 2.2859570e-01), (1.0, -5.4280860e-01)),
-)
-
-
-def build_case_study() -> NetworkModel:
-    """The 20-node benchmark network, every coefficient encoded exactly."""
-    edges = {(j, i): RationalTF(num, den) for j, i, num, den in _CASE_STUDY_EDGES}
-    return NetworkModel(20, edges)
 
 
 # -- network file format --------------------------------------------------------
@@ -386,3 +316,14 @@ def load_network(path) -> NetworkModel:
     if L is None:
         raise NetworkFormatError(f"{path}: empty file (no 'nodes' header)")
     return NetworkModel(L, edges)
+
+
+def default_network_file() -> Path:
+    """Path of the 20-node case-study network shipped with the package."""
+    return Path(__file__).parent / "data" / "case_study_20.net"
+
+
+def build_case_study() -> NetworkModel:
+    """The 20-node case-study network, loaded from its shipped file; its
+    module of interest is (3, 4): G_34 = -0.3 q^-1 + 0.8 q^-2."""
+    return load_network(default_network_file())

@@ -11,7 +11,8 @@ from netid import (RationalTF, ResultTable, Scenario, ScenarioFormatError,
 from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, check_scenario,
-                               default_network_file, default_scenario_file)
+                               default_scenario_file)
+from netid.model import default_network_file
 
 GOOD_FILE = """\
 # comment
@@ -119,6 +120,20 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFormatError, match="before any"):
             load_scenarios(p)
 
+    @pytest.mark.parametrize("runs, seed, problem", [
+        (0, 0, "runs and samples must be >= 1"),
+        (2, -5, "seed must be >= 0, got -5")], ids=["runs", "seed"])
+    def test_scenario_invariant_names_block_line(self, tmp_path, runs, seed,
+                                                 problem):
+        # block z starts on line 19, after GOOD_FILE's 18 lines
+        p = tmp_path / "s.scn"
+        p.write_text(GOOD_FILE + f"scenario z\n  excite 1\n  method direct\n"
+                     f"  target 3 4\n  runs {runs}\n  samples 100\n"
+                     f"  seed {seed}\n")
+        with pytest.raises(ScenarioFormatError,
+                           match=re.escape(f"s.scn:19: scenario z: {problem}")):
+            load_scenarios(p)
+
     def test_scenario_invariants(self):
         with pytest.raises(ValueError, match="method"):
             Scenario(id="x", excited_nodes=(1,), method="magic",
@@ -126,6 +141,10 @@ class TestScenarioFile:
         with pytest.raises(ValueError, match=">= 1"):
             Scenario(id="x", excited_nodes=(1,), method="direct",
                      target=(3, 4), runs=0, samples_per_run=10, base_seed=0)
+        with pytest.raises(ValueError, match="scenario x: seed must be >= 0, "
+                                             "got -1"):
+            Scenario(id="x", excited_nodes=(1,), method="direct",
+                     target=(3, 4), runs=1, samples_per_run=10, base_seed=-1)
 
 
 class TestMonteCarlo:
@@ -286,12 +305,9 @@ class TestMonteCarlo:
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("NETID_WORKERS", "2")
         assert _worker_count() <= 2  # env caps the default
-        assert _worker_count(8) == 2  # env caps an explicit request
         monkeypatch.setenv("NETID_WORKERS", "zillion")
         with pytest.raises(ValueError, match="NETID_WORKERS"):
             _worker_count()
-        monkeypatch.delenv("NETID_WORKERS")
-        assert _worker_count(3) == 3
 
 
 class TestLocalPipeline:
@@ -346,7 +362,7 @@ class TestEmission:
         return ResultTable(rows=(run_monte_carlo(scn, case_study),))
 
     def test_csv_round_trip(self, table, tmp_path):
-        (path,) = emit_results(table, tmp_path, format="csv")
+        (path,) = emit_results(table, tmp_path)
         back = read_results(path)
         assert set(back) == {"t"}
         orig = table.rows[0].runs
@@ -355,25 +371,15 @@ class TestEmission:
 
     def test_csv_byte_identical_across_repeats(self, table, tmp_path,
                                                case_study):
-        (p1,) = emit_results(table, tmp_path / "a", format="csv")
+        (p1,) = emit_results(table, tmp_path / "a")
         scn = table.rows[0].scenario
         table2 = ResultTable(rows=(run_monte_carlo(scn, case_study),))
-        (p2,) = emit_results(table2, tmp_path / "b", format="csv")
+        (p2,) = emit_results(table2, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_svg_scatter_written(self, table, tmp_path):
-        paths = emit_results(table, tmp_path, format="svg")
-        assert len(paths) == 1
-        head = paths[0].read_text()[:500]
-        assert "<svg" in head
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             emit_results(ResultTable(rows=()), tmp_path)
-
-    def test_unknown_format_rejected(self, table, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit_results(table, tmp_path, format="xlsx")
 
     def test_read_results_validates_header(self, tmp_path):
         p = tmp_path / "results.csv"
@@ -463,6 +469,38 @@ class TestCLI:
         assert "scenario 1: all 2 runs failed" in err
         assert "injected estimator failure" in err
         assert len(read_results(tmp_path / "results.csv")["1"]) == 2
+
+    def test_montecarlo_negative_seed_fails_before_any_run(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", "1", "--runs", "2",
+                   "--samples", "500", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert ("scenario 1: seed must be >= 0, got -1"
+                in capsys.readouterr().err)
+        assert simulated == []
+        assert not (out / "results.csv").exists()
+
+    def test_simulate_negative_seed_names_it(self, tmp_path, capsys,
+                                             monkeypatch):
+        simulated = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        rc = main(["simulate", "--samples", "40", "--seed", "-3", "--out",
+                   str(tmp_path)])
+        assert rc == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert simulated == []
+
+    def test_montecarlo_has_no_format_option(self, tmp_path):
+        # scatter plots come from `report --format svg` on results.csv
+        with pytest.raises(SystemExit):
+            main(["montecarlo", "--scenario", "1", "--format", "svg",
+                  "--out", str(tmp_path)])
 
     def test_montecarlo_short_record_fails_before_any_run(self, tmp_path,
                                                           capsys):

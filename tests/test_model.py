@@ -127,10 +127,6 @@ class TestNetworkFile:
         save_network(case_study, path)
         assert load_network(path) == case_study
 
-    def test_shipped_file_matches_builder(self):
-        from netid.experiments import default_network_file
-        assert load_network(default_network_file()) == build_case_study()
-
     def test_random_coefficients_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         edges = {(2, 1): RationalTF(rng.normal(size=4),
@@ -189,6 +185,8 @@ class TestExcitationSpec:
             ExcitationSpec([1], N=0, seed=0)
         with pytest.raises(ValueError):
             ExcitationSpec([1], N=10, seed=0, r_variance=-1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            ExcitationSpec([1], N=10, seed=-3)
 
 
 class TestSignalRecord:

@@ -1,5 +1,5 @@
 """Simulator: kernel vs reference recursion, randomness contract,
-divergence handling."""
+divergence handling, impulse responses against the spectral oracle."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from netid import (ExcitationSpec, NetworkModel, RationalTF,
 from netid import kernels
 
 from conftest import make_two_node_loop, random_rational_network
+from oracles import true_T_impulse
 
 
 def pack_model(model: NetworkModel):
@@ -281,3 +282,20 @@ class TestImpulseResponse:
     def test_bad_node(self, two_node_chain):
         with pytest.raises(ValueError):
             impulse_response(two_node_chain, 3, 4)
+
+    def test_rational_networks_match_spectral_oracle(self):
+        # first-order poles and zero-delay feedthrough, which the case study
+        # and random_stable_network leave out of criterion 5's check
+        rng = np.random.default_rng(2)
+        pairs = 0
+        for _ in range(20):
+            model = random_rational_network(rng)
+            for i in range(1, model.L + 1):
+                h = impulse_response(model, i, 60)
+                for j in range(1, model.L + 1):
+                    ref = true_T_impulse(model, j, i, 60, method="spectral",
+                                         grid_size=4096)
+                    assert np.allclose(h[j - 1], ref, rtol=0, atol=1e-12), \
+                        (model.edge_items(), j, i)
+                    pairs += 1
+        assert pairs >= 300
