@@ -22,11 +22,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .direct import DirectModelStructure, estimate_direct
 from .experiments import (ResultTable, Scenario, check_scenario,
                           default_scenario_file, emit_results,
-                          load_scenarios, read_results, run_local_pipeline,
-                          run_monte_carlo, summarize, write_scatter_svgs)
+                          load_scenarios, read_results, run_direct,
+                          run_local_pipeline, run_monte_carlo, summarize,
+                          write_scatter_svgs)
 from .local import plan_experiment_for_model
 from .iomap import true_T
 from .model import ExcitationSpec, default_network_file, load_network
@@ -90,15 +90,15 @@ def _cmd_direct(args) -> int:
     scn = _select_scenarios(args.scenario)[0]
     samples = args.samples if args.samples is not None else scn.samples_per_run
     seed = args.seed if args.seed is not None else scn.base_seed
+    if scn.method != "direct":
+        raise ValueError(f"scenario {scn.id} has method {scn.method}; "
+                         f"'netid direct' runs direct scenarios only")
     check_scenario(scn, model, samples)
-    j = scn.target[0]
-    structure = DirectModelStructure.from_model(model, j)
-    spec = ExcitationSpec(scn.excited_nodes, N=samples, seed=seed,
-                          r_variance=scn.r_var, v_variance=scn.v_var)
-    est = estimate_direct(simulate(model, spec), structure)
+    est = run_direct(model, scn, samples, seed)
+    j = est.structure.target_node
     print(f"scenario {scn.id}: direct estimate of modules into node {j} "
           f"({samples} samples, seed {seed})")
-    for node in structure.regressor_nodes:
+    for node in est.structure.regressor_nodes:
         coeffs = ", ".join(f"{c:.6g}" for c in est.coefficients_for(node))
         print(f"  module ({j},{node}): [{coeffs}]")
     print(f"  gram condition {est.gram_condition:.4g}  "
@@ -139,9 +139,7 @@ def _cmd_montecarlo(args) -> int:
         if args.seed is not None:
             scn = dataclasses.replace(scn, base_seed=args.seed)
         row = run_monte_carlo(scn, model, runs=args.runs,
-                              samples=args.samples,
-                              fir_order=args.fir_order,
-                              grid_points=args.grid_points)
+                              samples=args.samples)
         rows.append(row)
         m1, m2 = row.mean
         s1, s2 = row.std
@@ -166,7 +164,7 @@ def _cmd_truth(args) -> int:
     target = _parse_target(args.target)
     plan = plan_experiment_for_model(model, target)
     grid = FreqGrid.uniform(args.grid_points)
-    tmat = true_T(model, plan.rows, plan.cols, grid)
+    tmat = true_T(model, plan.measure_set, plan.excite_set, grid)
     j, i = target
     g_true = model.edge(j, i).eval_at(grid.as_array())
     header = ["omega"]
@@ -262,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override samples per run")
     p.add_argument("--seed", type=int, default=None,
                    help="override every scenario's base seed")
-    p.add_argument("--fir-order", type=int, default=150)
-    p.add_argument("--grid-points", type=int, default=100)
     p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_montecarlo)
 

@@ -4,11 +4,11 @@ A scenario bundles everything needed to reproduce an identification
 experiment: which nodes are excited, which estimator runs, the target
 module, run/sample counts, noise variances, and the base PRNG seed.  Run k
 of a scenario uses seed base_seed + k, so a scenario file pins the entire
-Monte-Carlo study bit-for-bit: rerunning `montecarlo` with the same file
-produces byte-identical CSV.
+Monte-Carlo study bit-for-bit, local scenarios included: rerunning
+`montecarlo` with the same file produces byte-identical CSV.
 
-Runs execute on a thread pool (the simulation kernel releases the GIL);
-aggregation sorts by run index first, so concurrency never affects output.
+Runs execute on a thread pool (the simulation kernel releases the GIL) that
+returns them in run order, so concurrency never affects output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .direct import DirectModelStructure, estimate_direct
+from .direct import DirectEstimate, DirectModelStructure, estimate_direct
 from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
                     check_record_length, estimate_T_entries, fit_parametric,
                     plan_experiment_for_model, solve_sink_side,
@@ -258,26 +258,17 @@ def summarize(runs) -> tuple[tuple[float, float], tuple[float, float], float]:
     return (mean[0], mean[1]), (std[0], std[1]), rate
 
 
-def _aggregate(scenario: Scenario, results: list[RunResult]) -> ScenarioResult:
-    results.sort(key=lambda r: r.run)
-    mean, std, rate = summarize(results)
-    return ScenarioResult(
-        scenario=scenario, runs=tuple(results), mean=mean, std=std,
-        informative_rate=rate,
-        failed_runs=sum(1 for r in results if r.error is not None))
-
-
 def _node_list(nodes) -> str:
     return "{" + ",".join(map(str, sorted(nodes))) + "}"
 
 
-def check_scenario(scenario: Scenario, model: NetworkModel, samples: int,
-                   fir_order: int = DEFAULT_FIR_ORDER) -> None:
+def check_scenario(scenario: Scenario, model: NetworkModel,
+                   samples: int) -> None:
     """Raise, naming the problem, for a scenario that every run would fail
     the same way: a target module or excited node the model lacks, an
     unstable model, a rational target, or runs of `samples` samples too
     short for the estimator (the direct regressor's delays; for a local
-    scenario, the T-entry regression of FIR order `fir_order`).  A local
+    scenario, the T-entry regression of the default FIR order).  A local
     scenario's excite set must also be its plan's, since the plan decides
     what a local run excites."""
     j, i = scenario.target
@@ -303,68 +294,75 @@ def check_scenario(scenario: Scenario, model: NetworkModel, samples: int,
                 f"the local plan's excite set {_node_list(plan.excite_set)} "
                 f"for target ({j},{i})")
         model.fir_band(j, i)
-        check_record_length(samples, fir_order, len(plan.cols))
+        check_record_length(samples, DEFAULT_FIR_ORDER, len(plan.excite_set))
     except ValueError as e:
         raise ValueError(f"scenario {scenario.id}: {e}") from None
 
 
+def _stage(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with any error re-raised prefixed by `[name]`."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:
+        raise RuntimeError(f"[{name}] {e}") from e
+
+
+def run_direct(model: NetworkModel, scenario: Scenario, samples: int,
+               seed: int) -> DirectEstimate:
+    """One direct-method run of `scenario`: plan the target node's regressor
+    structure, simulate `samples` samples of its excitation from `seed`, and
+    estimate; a stage error is re-raised with the stage name prefixed."""
+    structure = _stage("plan", DirectModelStructure.from_model, model,
+                       scenario.target[0])
+    spec = ExcitationSpec(scenario.excited_nodes, N=samples, seed=seed,
+                          r_variance=scenario.r_var, v_variance=scenario.v_var)
+    record = _stage("simulate", simulate, model, spec)
+    return _stage("estimate", estimate_direct, record, structure)
+
+
 def run_monte_carlo(scenario: Scenario, model: NetworkModel,
-                    runs: int | None = None, samples: int | None = None,
-                    fir_order: int = DEFAULT_FIR_ORDER,
-                    grid_points: int = DEFAULT_GRID_POINTS) -> ScenarioResult:
+                    runs: int | None = None,
+                    samples: int | None = None) -> ScenarioResult:
     """Run a scenario's Monte-Carlo batch and aggregate it.
 
     Run k uses seed base_seed + k; per-run estimator failures are recorded
-    in the run's row rather than aborting the batch.  A scenario that every
-    run would fail the same way (see check_scenario) raises before any run
-    starts.  `runs` and `samples` override the scenario's counts (the CLI
-    default of 100 runs keeps batches fast; scenario files carry the full
-    counts).
+    in the run's row, with the failing stage's label, rather than aborting
+    the batch.  A scenario that every run would fail the same way (see
+    check_scenario) raises before any run starts.  `runs` and `samples`
+    override the scenario's counts (the CLI default of 100 runs keeps
+    batches fast; scenario files carry the full counts).
     """
     n_runs = runs if runs is not None else scenario.runs
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
-    check_scenario(scenario, model, n_samples, fir_order)
-    j, i = scenario.target
+    check_scenario(scenario, model, n_samples)
 
-    if scenario.method == "direct":
-        structure = DirectModelStructure.from_model(model, j)
-
-        def one_run(k: int) -> RunResult:
-            spec = ExcitationSpec(scenario.excited_nodes, N=n_samples,
-                                  seed=scenario.base_seed + k,
-                                  r_variance=scenario.r_var,
-                                  v_variance=scenario.v_var)
-            record = simulate(model, spec)
-            est = estimate_direct(record, structure)
-            coeffs = est.coefficients_for(i)
-            a1 = float(coeffs[0]) if coeffs.size > 0 else math.nan
-            a2 = float(coeffs[1]) if coeffs.size > 1 else math.nan
-            return RunResult(run=k, a1=a1, a2=a2, informative=est.informative)
-    else:
-        def one_run(k: int) -> RunResult:
-            est = run_local_pipeline(
-                model, scenario.target, samples=n_samples,
-                seed=scenario.base_seed + k, fir_order=fir_order,
-                grid_points=grid_points, r_var=scenario.r_var,
-                v_var=scenario.v_var)
-            c = est.coefficients
-            a1 = float(c[0]) if c.size > 0 else math.nan
-            a2 = float(c[1]) if c.size > 1 else math.nan
-            return RunResult(run=k, a1=a1, a2=a2,
-                             informative=est.dropped_points == 0)
-
-    def safe_run(k: int) -> RunResult:
+    def one_run(k: int) -> RunResult:
+        seed = scenario.base_seed + k
         try:
-            return one_run(k)
+            if scenario.method == "direct":
+                est = run_direct(model, scenario, n_samples, seed)
+                coeffs = est.coefficients_for(scenario.target[1])
+                informative = est.informative
+            else:
+                est = run_local_pipeline(
+                    model, scenario.target, samples=n_samples, seed=seed,
+                    r_var=scenario.r_var, v_var=scenario.v_var)
+                coeffs, informative = est.coefficients, est.dropped_points == 0
         except Exception as e:  # recorded, not fatal
             return RunResult(run=k, a1=math.nan, a2=math.nan,
                              informative=False, error=str(e))
+        a1, a2 = ([float(c) for c in coeffs[:2]] + [math.nan] * 2)[:2]
+        return RunResult(run=k, a1=a1, a2=a2, informative=informative)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(safe_run, range(n_runs)))
-    return _aggregate(scenario, results)
+        results = tuple(pool.map(one_run, range(n_runs)))
+    mean, std, rate = summarize(results)
+    return ScenarioResult(
+        scenario=scenario, runs=results, mean=mean, std=std,
+        informative_rate=rate,
+        failed_runs=sum(r.error is not None for r in results))
 
 
 # -- local-method pipeline ----------------------------------------------------
@@ -395,43 +393,40 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     excitations, estimate the needed T entries as high-order FIR models,
     solve the per-frequency linear systems on the chosen side, and fit the
     target module's band coefficients to the solved samples.  Any stage
-    error is re-raised with the stage name prefixed.
+    error is re-raised with the stage name prefixed; a record too short for
+    the T-entry regression fails at the plan stage.
 
     With exact_T=True the simulation and estimation stages are bypassed and
     the solve runs on exact samples of T (an oracle path used to validate
     the algebra independently of estimation error).
     """
     j, i = int(target[0]), int(target[1])
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as e:
-            raise RuntimeError(f"[{name}] {e}") from e
-
-    plan = stage("plan", plan_experiment_for_model, model, (j, i))
-    band = stage("plan", model.fir_band, j, i)
+    plan = _stage("plan", plan_experiment_for_model, model, (j, i))
+    band = _stage("plan", model.fir_band, j, i)
     grid = FreqGrid.uniform(grid_points)
 
     if exact_T:
-        tmat = stage("truth", true_T, model, plan.rows, plan.cols, grid)
+        tmat = _stage("truth", true_T, model, plan.measure_set,
+                      plan.excite_set, grid)
         fit_scores: dict[tuple[int, int], float] = {}
     else:
+        _stage("plan", check_record_length, samples, fir_order,
+               len(plan.excite_set))
         spec = ExcitationSpec(plan.excite_set, N=samples, seed=seed,
                               r_variance=r_var, v_variance=v_var)
-        record = stage("simulate", simulate, model, spec)
-        est = stage("estimate", estimate_T_entries, record, plan.rows,
-                    plan.cols, fir_order=fir_order, grid=grid)
+        record = _stage("simulate", simulate, model, spec)
+        est = _stage("estimate", estimate_T_entries, record, plan.measure_set,
+                     plan.excite_set, fir_order=fir_order, grid=grid)
         tmat = est.freq
         fit_scores = est.entry_fit_scores()
 
     if plan.which == "source":
-        solved = stage("solve", solve_source_side, tmat, i, plan.measure_set)
+        solved = _stage("solve", solve_source_side, tmat, i, plan.measure_set)
     else:
-        solved = stage("solve", solve_sink_side, tmat, j, plan.excite_set)
+        solved = _stage("solve", solve_sink_side, tmat, j, plan.excite_set)
 
-    fit = stage("fit", fit_parametric, solved.module_samples(j, i), band,
-                grid=solved.grid)
+    fit = _stage("fit", fit_parametric, solved.module_samples(j, i), band,
+                 grid=solved.grid)
     return ModuleEstimate(
         target=(j, i), band=fit.band, coefficients=fit.coefficients,
         plan=plan, entry_fit_scores=fit_scores,
@@ -521,7 +516,8 @@ def _scatter_svg(pts: np.ndarray, title: str) -> str:
 
 def read_results(path) -> dict[str, list[RunResult]]:
     """Parse an emitted CSV back into per-scenario run lists (round-trip of
-    everything emit_results writes per run)."""
+    everything emit_results writes per run); a malformed row raises with
+    its file and line."""
     out: dict[str, list[RunResult]] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
@@ -529,10 +525,14 @@ def read_results(path) -> dict[str, list[RunResult]]:
         if header != list(CSV_HEADER):
             raise ValueError(f"{path}: unexpected CSV header {header}")
         for fields in reader:
-            if len(fields) != len(CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {fields}")
-            sid, run, a1, a2, informative = fields
-            out.setdefault(sid, []).append(RunResult(
-                run=int(run), a1=float(a1), a2=float(a2),
-                informative=informative == "true"))
+            try:
+                sid, run, a1, a2, informative = fields
+                if informative not in ("true", "false"):
+                    raise ValueError
+                rr = RunResult(run=int(run), a1=float(a1), a2=float(a2),
+                               informative=informative == "true")
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: malformed row "
+                                 f"{fields}") from None
+            out.setdefault(sid, []).append(rr)
     return out

@@ -83,16 +83,6 @@ class MethodChoice:
         if self.which not in ("source", "sink"):
             raise ValueError("which must be 'source' or 'sink'")
 
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Row index set of the T submatrix to estimate."""
-        return self.measure_set
-
-    @property
-    def cols(self) -> tuple[int, ...]:
-        """Column index set of the T submatrix to estimate."""
-        return self.excite_set
-
 
 def plan_experiment(target: tuple[int, int],
                     out_neighbors_of_source: Iterable[int],
@@ -320,8 +310,10 @@ class LocalSolveResult:
 
 
 def _solve_filtered(A: np.ndarray, B: np.ndarray, grid: FreqGrid,
-                    side_label: str) -> tuple[np.ndarray, FreqGrid, int, float]:
-    """Per-frequency solve of A[k] x = B[k], dropping ill-conditioned points."""
+                    modules: tuple[tuple[int, int], ...],
+                    side_label: str) -> LocalSolveResult:
+    """Per-frequency solve of A[k] x = B[k] for the samples of `modules`,
+    dropping ill-conditioned points."""
     conds = np.linalg.cond(A)
     keep = np.isfinite(conds) & (conds <= CONDITION_LIMIT)
     dropped = int(np.count_nonzero(~keep))
@@ -332,9 +324,10 @@ def _solve_filtered(A: np.ndarray, B: np.ndarray, grid: FreqGrid,
             f"grid points (limit {MAX_DROP_FRACTION:.0%}); the invertibility "
             f"premise of the local method fails for this experiment")
     X = np.linalg.solve(A[keep], B[keep])
-    kept_grid = FreqGrid(grid.as_array()[keep])
-    max_cond = float(conds[keep].max()) if np.any(keep) else 0.0
-    return X[..., 0], kept_grid, dropped, max_cond
+    return LocalSolveResult(
+        modules=modules, grid=FreqGrid(grid.as_array()[keep]),
+        samples=X[..., 0], dropped_points=dropped, total_points=total,
+        max_condition=float(conds[keep].max()) if np.any(keep) else 0.0)
 
 
 def solve_source_side(tmat: FreqResponseMatrix, source: int,
@@ -347,14 +340,9 @@ def solve_source_side(tmat: FreqResponseMatrix, source: int,
     nbrs = _node_set(out_neighbors)
     if not nbrs:
         raise ValueError(f"source node {source} has no out-neighbors")
-    A = tmat.submatrix(nbrs, nbrs)
-    b = tmat.submatrix(nbrs, (source,))
-    X, kept, dropped, max_cond = _solve_filtered(A, b, tmat.grid,
-                                                 "source-side")
-    return LocalSolveResult(
-        modules=tuple((m, source) for m in nbrs),
-        grid=kept, samples=X, dropped_points=dropped,
-        total_points=len(tmat.grid), max_condition=max_cond)
+    return _solve_filtered(tmat.submatrix(nbrs, nbrs),
+                           tmat.submatrix(nbrs, (source,)), tmat.grid,
+                           tuple((m, source) for m in nbrs), "source-side")
 
 
 def solve_sink_side(tmat: FreqResponseMatrix, sink: int,
@@ -362,21 +350,16 @@ def solve_sink_side(tmat: FreqResponseMatrix, sink: int,
     """Recover all modules entering `sink` from T entries.
 
     At each grid frequency solves the row system
-    x T[N-, N-] = T[sink, N-] for x = G[sink, N-], where N- = in_neighbors.
+    x T[N-, N-] = T[sink, N-] for x = G[sink, N-], where N- = in_neighbors,
+    as its transpose T[N-, N-]^T x^T = T[sink, N-]^T.
     """
     nbrs = _node_set(in_neighbors)
     if not nbrs:
         raise ValueError(f"sink node {sink} has no in-neighbors")
-    A = tmat.submatrix(nbrs, nbrs)
-    b = tmat.submatrix((sink,), nbrs)  # (K, 1, d)
-    At = np.transpose(A, (0, 2, 1))
-    bt = np.transpose(b, (0, 2, 1))  # (K, d, 1)
-    X, kept, dropped, max_cond = _solve_filtered(At, bt, tmat.grid,
-                                                 "sink-side")
-    return LocalSolveResult(
-        modules=tuple((sink, k) for k in nbrs),
-        grid=kept, samples=X, dropped_points=dropped,
-        total_points=len(tmat.grid), max_condition=max_cond)
+    return _solve_filtered(tmat.submatrix(nbrs, nbrs).transpose(0, 2, 1),
+                           tmat.submatrix((sink,), nbrs).transpose(0, 2, 1),
+                           tmat.grid, tuple((sink, k) for k in nbrs),
+                           "sink-side")
 
 
 @dataclass(frozen=True, eq=False)

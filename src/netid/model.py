@@ -28,6 +28,18 @@ class NetworkFormatError(ValueError):
     """Raised for malformed network files, with the offending line number."""
 
 
+def _check_edge(L: int, j: int, i: int, tf: RationalTF) -> None:
+    """Raise unless (j, i) -> tf may be an edge of an L-node network."""
+    if not (1 <= j <= L and 1 <= i <= L):
+        raise ValueError(f"edge ({j},{i}) outside node range 1..{L}")
+    if j == i:
+        raise ValueError(f"diagonal entry ({j},{i}) forbidden: "
+                         "the network matrix is hollow")
+    if tf.is_zero:
+        raise ValueError(f"edge ({j},{i}) is identically zero; "
+                         "omit it instead")
+
+
 class NetworkModel:
     """Immutable sparse network matrix with topology queries.
 
@@ -49,16 +61,9 @@ class NetworkModel:
         clean: dict[tuple[int, int], RationalTF] = {}
         for (j, i), tf in dict(edges).items():
             j, i = int(j), int(i)
-            if not (1 <= j <= L and 1 <= i <= L):
-                raise ValueError(f"edge ({j},{i}) outside node range 1..{L}")
-            if j == i:
-                raise ValueError(f"diagonal entry ({j},{i}) forbidden: "
-                                 "the network matrix is hollow")
             if not isinstance(tf, RationalTF):
                 tf = RationalTF(*tf) if isinstance(tf, tuple) else RationalTF(tf)
-            if tf.is_zero:
-                raise ValueError(f"edge ({j},{i}) is identically zero; "
-                                 "omit it instead")
+            _check_edge(L, j, i, tf)
             clean[(j, i)] = tf
         self._L = L
         self._edges = clean
@@ -304,18 +309,19 @@ def load_network(path) -> NetworkModel:
             raise NetworkFormatError(f"{path}:{ln}: {exc}") from None
         if not den:
             raise NetworkFormatError(f"{path}:{ln}: empty denominator")
-        if not (1 <= j <= L and 1 <= i <= L):
-            raise NetworkFormatError(
-                f"{path}:{ln}: edge ({j},{i}) outside node range 1..{L}")
         if (j, i) in edges:
             raise NetworkFormatError(f"{path}:{ln}: duplicate edge ({j},{i})")
         try:
             edges[(j, i)] = RationalTF(num, den)
+            _check_edge(L, j, i, edges[(j, i)])
         except ValueError as exc:
             raise NetworkFormatError(f"{path}:{ln}: {exc}") from None
     if L is None:
         raise NetworkFormatError(f"{path}: empty file (no 'nodes' header)")
-    return NetworkModel(L, edges)
+    try:
+        return NetworkModel(L, edges)
+    except ValueError as exc:  # a rule on the whole network: (I - D0)
+        raise NetworkFormatError(f"{path}: {exc}") from None
 
 
 def default_network_file() -> Path:

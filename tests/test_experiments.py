@@ -193,7 +193,8 @@ class TestMonteCarlo:
                        base_seed=0)
         row = run_monte_carlo(scn, case_study)
         assert row.failed_runs == 3
-        assert all(r.error is not None for r in row.runs)
+        assert all(r.error == "[estimate] injected estimator failure"
+                   for r in row.runs)
         assert np.isnan(row.mean[0])
 
     @pytest.mark.parametrize("method", ["direct", "local"])
@@ -297,7 +298,7 @@ class TestMonteCarlo:
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
                        target=(3, 4), runs=2, samples_per_run=2000,
                        base_seed=11)
-        row = run_monte_carlo(scn, case_study, fir_order=60)
+        row = run_monte_carlo(scn, case_study)
         assert row.failed_runs == 0
         assert abs(row.mean[0] - (-0.3)) < 0.05
         assert abs(row.mean[1] - 0.8) < 0.05
@@ -385,6 +386,19 @@ class TestEmission:
         p = tmp_path / "results.csv"
         p.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
+            read_results(p)
+
+    @pytest.mark.parametrize("row", ["1,1,-0.3,0.8,True",
+                                     "1,1,-0.3,zero,true",
+                                     "1,one,-0.3,0.8,true",
+                                     "1,1,-0.3,0.8"],
+                             ids=["informative", "float", "run", "fields"])
+    def test_read_results_rejects_malformed_row(self, tmp_path, row):
+        p = tmp_path / "results.csv"
+        p.write_text("scenario_id,run,a1,a2,informative\n"
+                     "1,0,-0.3,0.8,true\n" + row + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape("results.csv:3: malformed row")):
             read_results(p)
 
 
@@ -546,7 +560,7 @@ class TestCLI:
     def test_direct_missing_target_edge_exits_1(self, tmp_path, capsys,
                                                 monkeypatch):
         simulated = []
-        monkeypatch.setattr(cli, "simulate",
+        monkeypatch.setattr(experiments, "simulate",
                             lambda *args, **kwargs: simulated.append(args))
         scn = tmp_path / "noedge.scn"
         scn.write_text("format 1\nscenario x\n  excite 3 7\n  method direct\n"
@@ -556,6 +570,43 @@ class TestCLI:
         assert ("scenario x: target module (3,7) is not an edge of the model"
                 in capsys.readouterr().err)
         assert simulated == []
+
+    def test_direct_rejects_local_scenario(self, tmp_path, capsys,
+                                           monkeypatch):
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        scn = tmp_path / "local.scn"
+        scn.write_text("format 1\nscenario loc\n  excite 3 4 5 6\n"
+                       "  method local\n  target 3 4\n  runs 3\n"
+                       "  samples 500\n  seed 0\n")
+        rc = main(["direct", "--scenario", str(scn)])
+        assert rc == 1
+        assert "scenario loc has method local" in capsys.readouterr().err
+        assert simulated == []
+
+    def test_direct_error_reports_stage(self, capsys, failing_estimator):
+        rc = main(["direct", "--scenario", "1", "--samples", "500"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [estimate] injected estimator failure")
+
+    def test_local_short_record_fails_at_plan(self, capsys, monkeypatch):
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        rc = main(["local", "--samples", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [plan] record too short: 100 samples <= FIR order 150")
+        assert simulated == []
+
+    def test_montecarlo_has_no_estimator_options(self, tmp_path):
+        # a scenario file pins the whole study, local scenarios included
+        for option in ("--fir-order", "--grid-points"):
+            with pytest.raises(SystemExit):
+                main(["montecarlo", "--scenario", "1", option, "60",
+                      "--out", str(tmp_path)])
 
     def test_bad_target_reports_stage(self, capsys):
         rc = main(["local", "--target", "4,20", "--exact-t"])

@@ -21,8 +21,6 @@ class TestPlanExperiment:
         assert plan.excite_set == (3, 4, 5, 6)
         assert plan.measure_set == (3, 5, 6)
         assert plan.entry_count == 12
-        assert plan.rows == (3, 5, 6)
-        assert plan.cols == (3, 4, 5, 6)
 
     def test_tie_goes_to_source_side(self):
         plan = plan_experiment((2, 1), out_neighbors_of_source=(2, 3),
@@ -165,17 +163,17 @@ class TestNormalEquations:
             plan = plan_experiment_for_model(case_study, target)
             record = simulate(case_study,
                               ExcitationSpec(plan.excite_set, N=2000, seed=5))
-            return record, plan.rows, plan.cols, 150
+            return record, plan.measure_set, plan.excite_set, 150
         plan = plan_experiment_for_model(case_study, (3, 4))
         if request.param == "coloured":
-            return (_coloured_record(case_study, plan.cols, 2000, 6),
-                    plan.rows, plan.cols, 60)
+            return (_coloured_record(case_study, plan.excite_set, 2000, 6),
+                    plan.measure_set, plan.excite_set, 60)
         # N - P is 3 rows above the 4 x 21 parameters, so the end-corrections
         # shift up to 20 of the 87 samples in each Gram entry's window
         P = 20
         record = simulate(case_study, ExcitationSpec(
             plan.excite_set, N=P + 4 * (P + 1) + 3, seed=7))
-        return record, plan.rows, plan.cols, P
+        return record, plan.measure_set, plan.excite_set, P
 
     def test_gram_and_rhs_match_explicit_products(self, case):
         record, rows, cols, P = case
@@ -197,7 +195,8 @@ class TestNormalEquations:
 
 
 def _exact_T_for_plan(model, plan, n_grid=64):
-    return true_T(model, plan.rows, plan.cols, FreqGrid.uniform(n_grid))
+    return true_T(model, plan.measure_set, plan.excite_set,
+                  FreqGrid.uniform(n_grid))
 
 
 class TestSolves:

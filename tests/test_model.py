@@ -166,6 +166,24 @@ class TestNetworkFile:
         with pytest.raises(NetworkFormatError, match="outside node range"):
             load_network(p)
 
+    @pytest.mark.parametrize("edge, problem", [
+        ("2 2 0.5 / 1.0", r"diagonal entry \(2,2\) forbidden"),
+        ("3 2 0 / 1", r"edge \(3,2\) is identically zero")],
+        ids=["self_loop", "zero_module"])
+    def test_edge_rule_reports_line(self, tmp_path, edge, problem):
+        p = tmp_path / "bad.net"
+        p.write_text(f"nodes 3\n2 1 0.5 / 1.0\n{edge}\n")
+        with pytest.raises(NetworkFormatError, match=r"bad\.net:3: " + problem):
+            load_network(p)
+
+    def test_ill_posed_network_reports_path(self, tmp_path):
+        # a zero-delay loop of unit gains makes (I - D0) singular
+        p = tmp_path / "bad.net"
+        p.write_text("nodes 2\n2 1 1.0 / 1.0\n1 2 1.0 / 1.0\n")
+        with pytest.raises(NetworkFormatError,
+                           match=r"bad\.net: network is ill-posed"):
+            load_network(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.net"
         p.write_text("")
