@@ -1,0 +1,127 @@
+"""Compare a parent revision with this checkout on alternated benchmark pairs.
+
+Usage, from the root of a checkout:
+
+    python3 benchmarks/pairs.py --parent REV --workload W --pairs N \
+        [--seconds S] > pairs.json
+
+REV is checked out into a temporary `git worktree`, removed at the end.  Pair
+k runs BENCHMARK.json's command (perfbench/run.py) with --seed k, k = 1..N,
+for S seconds (default: BENCHMARK.json's run_seconds), once in each tree:
+the parent first on odd pairs and this checkout first on even ones, so drift
+on a shared machine falls on both sides alike.  Progress goes to standard error;
+standard output gets one JSON object with, per end-to-end metric of
+BENCHMARK.json, both sides' values, medians and quartiles, the pairs the
+change won (ties count for neither side) and whether that is a gain: at
+least nine tenths of the pairs won, and the medians further apart than the
+parent's quartiles.  The machine facts are those perfbench/facts.py reported
+in each tree's first run.  The exit code is 1 if any run failed its output
+checks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_once(command: list[str], tree: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict, dict]:
+    """One untraced run of the benchmark command in `tree`: (machine facts,
+    result)."""
+    cmd = command + ["--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=20 * seconds + 300)
+    lines = done.stdout.splitlines()
+    if not lines:
+        raise RuntimeError(f"perfbench in {tree} printed nothing:\n"
+                           f"{done.stderr[-2000:]}")
+    machine = next(json.loads(line[len("machine "):]) for line in lines
+                   if line.startswith("machine "))
+    return machine, json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    out = {"parent": summary(parent), "change": summary(change),
+           "better": better, "wins": wins, "pairs": len(parent)}
+    gap = sign * (out["change"]["median"] - out["parent"]["median"])
+    spread = out["parent"]["q3"] - out["parent"]["q1"]
+    out["gain"] = wins >= 0.9 * len(parent) and gap > spread
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision to compare")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, default=None,
+                   help="run length (default: BENCHMARK.json's run_seconds)")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = float(spec["run_seconds"])
+    parent_rev = git("rev-parse", "--verify", args.parent + "^{commit}")
+    runs = {"parent": [], "change": []}
+    machine = {}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="netid-pairs-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_tree), parent_rev)
+        try:
+            trees = {"parent": parent_tree, "change": ROOT}
+            for k in range(1, args.pairs + 1):
+                order = ("parent", "change") if k % 2 else ("change",
+                                                            "parent")
+                for side in order:
+                    facts, result = run_once(spec["command"], trees[side],
+                                             args.workload, k, args.seconds)
+                    machine.setdefault(side, facts)
+                    ok &= bool(result["correct"])
+                    runs[side].append(result)
+                    print(f"pair {k} seed {k} {side}: " + " ".join(
+                        f"{n}={m['value']:.5g}"
+                        for n, m in result["metrics"].items()),
+                        file=sys.stderr, flush=True)
+        finally:
+            git("worktree", "remove", "--force", str(parent_tree))
+    metrics = {
+        m["name"]: compare(
+            [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+            [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+            m["better"])
+        for m in spec["end_to_end"]}
+    print(json.dumps({
+        "workload": args.workload, "pairs": args.pairs,
+        "seconds": args.seconds, "parent": parent_rev,
+        "change": git("rev-parse", "HEAD") + (
+            " + uncommitted changes" if git("status", "--porcelain") else ""),
+        "machine": machine, "all_correct": ok, "metrics": metrics},
+        indent=1))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,9 @@ of a scenario uses seed base_seed + k, so a scenario file pins the entire
 Monte-Carlo study bit-for-bit, local scenarios included: rerunning
 `montecarlo` with the same file produces byte-identical CSV.
 
-Runs execute on a thread pool (the simulation kernel releases the GIL) that
-returns them in run order, so concurrency never affects output.
+Runs execute on a thread pool that returns them in run order, so
+concurrency never affects output.  Threads overlap a run's noise draws and
+FFT and BLAS work, but barely its simulation kernel (see kernels).
 """
 
 from __future__ import annotations
@@ -381,6 +382,14 @@ class ModuleEstimate:
     residual_rms: float
 
 
+def _fit_grid(points: int, band: tuple[int, int]) -> FreqGrid:
+    """A uniform grid of `points` points, no fewer than the band's taps."""
+    if points < band[1] - band[0] + 1:
+        raise ValueError(f"grid of {points} points is too small to fit band "
+                         f"{band}'s {band[1] - band[0] + 1} coefficients")
+    return FreqGrid.uniform(points)
+
+
 def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
                        samples: int = 10_000, seed: int = 0,
                        fir_order: int = DEFAULT_FIR_ORDER,
@@ -393,8 +402,8 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     excitations, estimate the needed T entries as high-order FIR models,
     solve the per-frequency linear systems on the chosen side, and fit the
     target module's band coefficients to the solved samples.  Any stage
-    error is re-raised with the stage name prefixed; a record too short for
-    the T-entry regression fails at the plan stage.
+    error is re-raised with the stage name prefixed; a grid smaller than the
+    band, or a record too short for the regression, fails at plan.
 
     With exact_T=True the simulation and estimation stages are bypassed and
     the solve runs on exact samples of T (an oracle path used to validate
@@ -403,7 +412,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     j, i = int(target[0]), int(target[1])
     plan = _stage("plan", plan_experiment_for_model, model, (j, i))
     band = _stage("plan", model.fir_band, j, i)
-    grid = FreqGrid.uniform(grid_points)
+    grid = _stage("plan", _fit_grid, grid_points, band)
 
     if exact_T:
         tmat = _stage("truth", true_T, model, plan.measure_set,

@@ -29,8 +29,10 @@ Three recursions replace the N sequential steps: the forced responses z_m,
 K steps each a (P, n) x (n, n) GEMM over all blocks at once; the block
 starts S_{m+1} = A^K S_m + z_m(K-1), P vector steps; and the free responses
 A^(j+1) S_m, K more GEMM steps that propagate S.  So about 2K + P calls do
-the work of N, and the GEMMs release the GIL, which lets Monte-Carlo runs
-overlap on threads.  Working memory is the one (P K, n) state array, (N, 35)
+the work of N: about 300 small ones, (100, 35) x (35, 35) on the case study
+at N = 1e4, which Monte-Carlo threads barely overlap (1.1-1.3x on two
+threads against 1.7x for a whole direct run; 2-vCPU host, BLAS at one
+thread).  Working memory is the one (P K, n) state array, (N, 35)
 on the case study up to K - 1 extra rows, plus (P, n) temporaries;
 w = C x + D u is formed in blocks of _OUT_CHUNK samples, in u's place.
 

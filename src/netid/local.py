@@ -23,7 +23,10 @@ coefficients by linear least squares.
 The FIR regression never builds its regressor: its normal equations are
 formed from FFT auto- and cross-correlations of the excitations and nodes,
 with exact window end-corrections, and the Gram's Cholesky factorization
-checks its rank before the solve.
+checks its rank before the solve.  Correlations and the fit's convolution
+take short FFTs of record segments, never of the whole record (overlap-save;
+Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd ed., sec. 8.7); no
+lag wraps in a segment, so each partial sum and their total are exact.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .iomap import FreqResponseMatrix
 from .model import NetworkModel, SignalRecord
@@ -134,9 +138,9 @@ def plan_experiment_for_model(model: NetworkModel,
 class TSubmatrixEstimate:
     """FIR estimates of a T submatrix, with grid samples and fit scores.
 
-    fit_scores[k] is the normalized output fit of row node rows[k]'s MISO
-    regression, 1 - ||w - w_hat|| / ||w - mean(w)||; every entry in that row
-    shares the score, since the row is estimated jointly.
+    fit_scores[k] is the normalized output fit of row node freq.rows[k]'s
+    MISO regression, 1 - ||w - w_hat|| / ||w - mean(w)||; every entry in that
+    row shares the score, since the row is estimated jointly.
     """
 
     freq: FreqResponseMatrix
@@ -158,33 +162,39 @@ class TSubmatrixEstimate:
 
 
 def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal equations of the FIR regression of w on lags 0..P of r.
 
     r is (C, N) excitations, w is (M, N) outputs.  The regressor Phi has one
     row per sample t = P..N-1 and one column r_c[t - l] per excitation c and
-    lag l (c major), but is never built.  Returns the Gram Phi^T Phi and the
-    right-hand side Phi^T Y, one column per output.
+    lag l (c major), but is never built.  Returns the Gram Phi^T Phi, the
+    right-hand side Phi^T Y (a column per output) and r's segment spectra.
 
     Phi^T Y and the first block row of the Gram are windowed correlations,
-    sum over t = P..N-1 of x[t] r_c[t - l], read off the product of the real
-    FFTs of x, zeroed before t = P, and of r_c.  Every other Gram entry
-    follows from the one above-left by the exact window end-correction
+    sum over t = P..N-1 of x[t] r_c[t - l], for x a row of r or w.  The
+    window is cut into S segments of B = F - P samples, F = 2048 or, for
+    P > 1023, the next power of two >= 2(P + 1).  Segment s pairs
+    x[P + sB : P + sB + B] (zero-padded past N) with r_c[sB : sB + F] in
+    length-F real FFTs; lag l of their circular correlation sits at index
+    P - l, and P + B = F, so no lag wraps and the segment's correlation is
+    exact.  The window's is their sum, taken over the spectra before one
+    inverse FFT per (row, excitation).  Every other Gram entry follows from
+    the one above-left by the exact window end-correction
         G[l+1, l'+1] = G[l, l'] + r_c[P-1-l] r_c'[P-1-l']
                                 - r_c[N-1-l] r_c'[N-1-l'],
     the sample pair entering the window minus the pair leaving it, so the
     result equals Phi^T Phi, not a circular approximation of it.
     """
     C, N = r.shape
-    n_fft = 1 << (N - 1).bit_length()
-    windowed = np.concatenate([r, w])
-    windowed[:, :P] = 0.0
-    # t - l >= 0 for t >= P and l <= P: the circular correlation never wraps
-    R = np.fft.rfft(r, n_fft)
-    Wf = np.fft.rfft(windowed, n_fft)
-    xc = np.empty((len(windowed), C, P + 1))
-    for c in range(C):  # one excitation at a time bounds the temporaries
-        xc[:, c] = np.fft.irfft(Wf * R[c].conj(), n_fft)[:, :P + 1]
+    F = max(2048, 1 << (2 * P + 1).bit_length())
+    B = F - P
+    S = -(-(N - P) // B)
+    pad = ((0, 0), (0, S * B + P - N))
+    x = np.pad(np.concatenate([r, w])[:, P:], pad)
+    R = np.fft.rfft(sliding_window_view(np.pad(r, pad), F, axis=1)[:, ::B])
+    X = np.fft.rfft(x.reshape(len(x), S, B), F)
+    cross = np.matmul(X.conj().transpose(2, 0, 1), R.transpose(2, 1, 0))
+    xc = np.fft.irfft(cross.transpose(1, 2, 0), F)[..., P::-1]
     gram = np.empty((C, P + 1, C, P + 1))
     gram[:, 0] = xc[:C]
     gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
@@ -195,7 +205,7 @@ def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
         gram[:, lag + 1, :, 1:] = gram[:, lag, :, :-1] + step[:, lag]
     n_params = C * (P + 1)
     rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
-    return gram.reshape(n_params, n_params), rhs
+    return gram.reshape(n_params, n_params), rhs, R
 
 
 def check_record_length(N: int, fir_order: int, n_excitations: int) -> None:
@@ -230,8 +240,8 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     excitations' auto- and cross-correlations and the excitation-to-node
     correlations (see _normal_equations) without building the regressor.
     The Gram's Cholesky factorization is the rank check, and the fit scores
-    come from the FFT convolution of the excitations with the estimated FIR
-    coefficients.
+    come from the overlap-save convolution of the correlations' segment
+    spectra of the excitations with the estimated FIR coefficients.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -250,7 +260,7 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     N = record.N
     r = np.stack([record.node_excitation(c) for c in col_nodes])
     w = np.stack([record.node_output(m) for m in row_nodes])
-    gram, rhs = _normal_equations(r, w, P)
+    gram, rhs, R = _normal_equations(r, w, P)
     try:
         chol = np.linalg.cholesky(gram)
         condition = float(np.max(np.diag(gram) / np.diag(chol) ** 2))
@@ -267,11 +277,10 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))
-    n_fft = 1 << (N - 1).bit_length()
+    F = 2 * (R.shape[-1] - 1)  # index P + j of segment s is y_hat[P + sB + j]
     Y = w[:, P:]
-    Yhat = np.fft.irfft(
-        (np.fft.rfft(coeffs, n_fft) * np.fft.rfft(r, n_fft)).sum(axis=1),
-        n_fft)[:, P:N]  # lags reach back to t - P >= 0: no circular wrap
+    Yhat = np.fft.irfft(np.einsum("mcf,csf->msf", np.fft.rfft(coeffs, F), R),
+                        F)[..., P:].reshape(len(Y), -1)[:, :N - P]
     fits = []
     for y, y_hat in zip(Y, Yhat):
         err = np.linalg.norm(y - y_hat)

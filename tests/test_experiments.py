@@ -601,6 +601,22 @@ class TestCLI:
             "error: [plan] record too short: 100 samples <= FIR order 150")
         assert simulated == []
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_local_small_grid_fails_at_plan(self, capsys, monkeypatch, points,
+                                            exact):
+        called = []
+        for name in ("simulate", "true_T"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, **kwargs: called.append(args))
+        rc = main(["local", "--grid-points", str(points)]
+                  + ["--exact-t"] * exact)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: [plan] grid of {points} points is too small to fit band "
+            f"(1, 2)'s 2 coefficients")
+        assert called == []
+
     def test_montecarlo_has_no_estimator_options(self, tmp_path):
         # a scenario file pins the whole study, local scenarios included
         for option in ("--fir-order", "--grid-points"):

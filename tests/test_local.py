@@ -156,7 +156,8 @@ def _coloured_record(model, cols, N, seed):
 class TestNormalEquations:
     """The correlation route against the explicit Phi + lstsq route."""
 
-    @pytest.fixture(params=["source_34", "sink_98", "coloured", "short"])
+    @pytest.fixture(params=["source_34", "sink_98", "coloured", "short",
+                            "segments", "long_fir"])
     def case(self, request, case_study):
         if request.param in ("source_34", "sink_98"):
             target = (3, 4) if request.param == "source_34" else (9, 8)
@@ -165,6 +166,19 @@ class TestNormalEquations:
                               ExcitationSpec(plan.excite_set, N=2000, seed=5))
             return record, plan.measure_set, plan.excite_set, 150
         plan = plan_experiment_for_model(case_study, (3, 4))
+        if request.param == "segments":
+            # segments of 2048 - 20 rows: two whole ones and a partial third
+            P = 20
+            record = simulate(case_study, ExcitationSpec(
+                plan.excite_set, N=P + 2 * (2048 - P) + 700, seed=8))
+            return record, plan.measure_set, plan.excite_set, P
+        if request.param == "long_fir":
+            # 2(P + 1) > 2048 doubles the segment transform to 4096, whose
+            # 4096 - P rows leave a partial second segment
+            P = 1100
+            record = simulate(case_study, ExcitationSpec(
+                (4,), N=P + 3200, seed=9))
+            return record, plan.measure_set, (4,), P
         if request.param == "coloured":
             return (_coloured_record(case_study, plan.excite_set, 2000, 6),
                     plan.measure_set, plan.excite_set, 60)
@@ -180,7 +194,7 @@ class TestNormalEquations:
         Phi, Y, _, _ = _lstsq_reference(record, rows, cols, P)
         r = np.stack([record.node_excitation(c) for c in cols])
         w = np.stack([record.node_output(m) for m in rows])
-        gram, rhs = _normal_equations(r, w, P)
+        gram, rhs, _ = _normal_equations(r, w, P)
         explicit = Phi.T @ Phi
         assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
         cross = Phi.T @ Y
