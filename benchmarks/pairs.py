@@ -45,13 +45,21 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int,
                      "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=20 * seconds + 300)
+
+    def failed(why: str) -> RuntimeError:
+        return RuntimeError(
+            f"perfbench in {tree}, workload {workload}, seed {seed}: {why} "
+            f"(exit code {done.returncode}):\n{done.stderr[-2000:]}")
+
     lines = done.stdout.splitlines()
-    if not lines:
-        raise RuntimeError(f"perfbench in {tree} printed nothing:\n"
-                           f"{done.stderr[-2000:]}")
-    machine = next(json.loads(line[len("machine "):]) for line in lines
-                   if line.startswith("machine "))
-    return machine, json.loads(lines[-1])
+    machine = next((line[len("machine "):] for line in lines
+                    if line.startswith("machine ")), None)
+    if machine is None:
+        raise failed("no 'machine' line")
+    try:
+        return json.loads(machine), json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        raise failed(f"no JSON result ({exc})") from None
 
 
 def summary(values: list[float]) -> dict:

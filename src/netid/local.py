@@ -22,11 +22,12 @@ coefficients by linear least squares.
 
 The FIR regression never builds its regressor: its normal equations are
 formed from FFT auto- and cross-correlations of the excitations and nodes,
-with exact window end-corrections, and the Gram's Cholesky factorization
-checks its rank before the solve.  Correlations and the fit's convolution
-take short FFTs of record segments, never of the whole record (overlap-save;
-Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd ed., sec. 8.7); no
-lag wraps in a segment, so each partial sum and their total are exact.
+with exact window end-corrections, and one Cholesky factorization of the
+Gram serves both its rank check and the solve.  Correlations and the fit's
+convolution take short FFTs of record segments, never of the whole record
+(overlap-save; Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd
+ed., sec. 8.7); no lag wraps in a segment, so each partial sum and their
+total are exact.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ CONDITION_LIMIT = 1e10
 #: regressor's condition and is formed only to about 1e-15 relative, so an
 #: exactly singular Gram can factor with estimates as low as 1e14.
 GRAM_CONDITION_LIMIT = 1e10
+#: Rows per diagonal block of the T-entry solve's triangular substitutions.
+_SOLVE_BLOCK = 64
 #: Fraction of droppable grid points beyond which the solve is rejected.
 MAX_DROP_FRACTION = 0.2
 #: Default FIR order for the T-entry estimates (lags 0..order).
@@ -200,12 +203,29 @@ def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
     gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
     head = r[:, :P][:, ::-1]  # r_c[P-1-l], l = 0..P-1
     tail = r[:, ::-1][:, :P]  # r_c[N-1-l]
-    step = np.multiply.outer(head, head) - np.multiply.outer(tail, tail)
     for lag in range(P):
-        gram[:, lag + 1, :, 1:] = gram[:, lag, :, :-1] + step[:, lag]
+        step = (np.multiply.outer(head[:, lag], head)
+                - np.multiply.outer(tail[:, lag], tail))
+        np.add(gram[:, lag, :, :-1], step, out=gram[:, lag + 1, :, 1:])
     n_params = C * (P + 1)
     rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
     return gram.reshape(n_params, n_params), rhs, R
+
+
+def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs, L = chol lower triangular, by blocked forward and
+    back substitution (Golub & Van Loan, Matrix Computations, 4th ed., sec.
+    3.1): small triangular solves on the diagonal blocks and products against
+    rhs's columns elsewhere, O(n^2 m) for m columns; no inverse of L."""
+    x = np.array(rhs, dtype=float)
+    blocks = [(a, a + _SOLVE_BLOCK) for a in range(0, len(chol), _SOLVE_BLOCK)]
+    for a, b in blocks:  # L y = rhs
+        x[a:b] = np.linalg.solve(chol[a:b, a:b],
+                                 x[a:b] - chol[a:b, :a] @ x[:a])
+    for a, b in reversed(blocks):  # L^T x = y
+        x[a:b] = np.linalg.solve(chol[a:b, a:b].T,
+                                 x[a:b] - chol[b:, a:b].T @ x[b:])
+    return x
 
 
 def check_record_length(N: int, fir_order: int, n_excitations: int) -> None:
@@ -239,9 +259,10 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     The least-squares estimate solves the normal equations, formed from the
     excitations' auto- and cross-correlations and the excitation-to-node
     correlations (see _normal_equations) without building the regressor.
-    The Gram's Cholesky factorization is the rank check, and the fit scores
-    come from the overlap-save convolution of the correlations' segment
-    spectra of the excitations with the estimated FIR coefficients.
+    The Gram's one Cholesky factor is both the rank check and the solve
+    (_cholesky_solve), and the fit scores come from the overlap-save
+    convolution of the correlations' segment spectra of the excitations
+    with the estimated FIR coefficients.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -271,9 +292,7 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
             f"T-entry regressor is rank-deficient (Gram condition estimate "
             f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
             f"excitations are not sufficiently independent")
-    # numpy has no triangular solve, and one LU solve of the Gram costs what
-    # one general solve against the Cholesky factor would
-    theta = np.linalg.solve(gram, rhs)
+    theta = _cholesky_solve(chol, rhs)
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))

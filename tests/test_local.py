@@ -9,7 +9,7 @@ from netid import (ExcitationSpec, FreqGrid, FreqResponseMatrix, NetworkModel,
                    simulate_inputs, solve_sink_side, solve_source_side,
                    true_T)
 
-from netid.local import _normal_equations
+from netid.local import _cholesky_solve, _normal_equations
 
 from conftest import random_rational_network, random_stable_network
 
@@ -206,6 +206,24 @@ class TestNormalEquations:
         est = estimate_T_entries(record, rows, cols, fir_order=P)
         assert np.abs(est.coefficients - coeffs).max() <= 1e-10
         assert np.abs(np.array(est.fit_scores) - fits).max() <= 1e-12
+
+
+class TestCholeskySolve:
+    """Blocked substitution on the Cholesky factor against a general solve,
+    at sizes around and across the substitution's block boundaries."""
+
+    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 128, 604])
+    def test_matches_general_solve(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        A = rng.standard_normal((2 * n, n))
+        gram = A.T @ A + n * np.eye(n)  # SPD, condition below about 6
+        rhs = rng.standard_normal((n, m))
+        kept = rhs.copy()
+        x = _cholesky_solve(np.linalg.cholesky(gram), rhs)
+        ref = np.linalg.solve(gram, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(rhs, kept)
 
 
 def _exact_T_for_plan(model, plan, n_grid=64):
