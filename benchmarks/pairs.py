@@ -5,7 +5,8 @@ Usage, from the root of a checkout:
     python3 benchmarks/pairs.py --parent REV --workload W --pairs N \
         [--seconds S] > pairs.json
 
-REV is checked out into a temporary `git worktree`, removed at the end.  Pair
+REV's files are extracted (`git archive`) into a temporary directory,
+removed at the end.  Pair
 k runs BENCHMARK.json's command (perfbench/run.py) with --seed k, k = 1..N,
 for S seconds (default: BENCHMARK.json's run_seconds), once in each tree:
 the parent first on odd pairs and this checkout first on even ones, so drift
@@ -97,24 +98,25 @@ def main(argv=None) -> int:
     ok = True
     with tempfile.TemporaryDirectory(prefix="netid-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_rev)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for k in range(1, args.pairs + 1):
-                order = ("parent", "change") if k % 2 else ("change",
-                                                            "parent")
-                for side in order:
-                    facts, result = run_once(spec["command"], trees[side],
-                                             args.workload, k, args.seconds)
-                    machine.setdefault(side, facts)
-                    ok &= bool(result["correct"])
-                    runs[side].append(result)
-                    print(f"pair {k} seed {k} {side}: " + " ".join(
-                        f"{n}={m['value']:.5g}"
-                        for n, m in result["metrics"].items()),
-                        file=sys.stderr, flush=True)
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", parent_rev], check=True,
+            capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
+                       check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for k in range(1, args.pairs + 1):
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            for side in order:
+                facts, result = run_once(spec["command"], trees[side],
+                                         args.workload, k, args.seconds)
+                machine.setdefault(side, facts)
+                ok &= bool(result["correct"])
+                runs[side].append(result)
+                print(f"pair {k} seed {k} {side}: " + " ".join(
+                    f"{n}={m['value']:.5g}"
+                    for n, m in result["metrics"].items()),
+                    file=sys.stderr, flush=True)
     metrics = {
         m["name"]: compare(
             [r["metrics"][m["name"]]["value"] for r in runs["parent"]],

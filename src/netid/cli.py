@@ -253,9 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo scenario batches")
     p.add_argument("--scenario", metavar="FILE|ID", default=None,
                    help="scenario file or single id (default: all shipped)")
-    p.add_argument("--runs", type=int, default=100,
-                   help="runs per scenario (default 100; scenario files "
-                        "carry the full counts)")
+    p.add_argument("--runs", type=int, default=None,
+                   help="override every scenario's run count")
     p.add_argument("--samples", type=int, default=None,
                    help="override samples per run")
     p.add_argument("--seed", type=int, default=None,

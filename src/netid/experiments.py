@@ -15,12 +15,12 @@ FFT and BLAS work, but barely its simulation kernel (see kernels).
 from __future__ import annotations
 
 import csv
+import html
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -504,7 +504,7 @@ def _scatter_svg(pts: np.ndarray, title: str) -> str:
     lo, hi = lo - pad, hi + pad
     out = ['<svg xmlns="http://www.w3.org/2000/svg" width="400" height="320" '
            'font-family="sans-serif" font-size="11">',
-           f'<text x="200" y="18" text-anchor="middle">{escape(title)}</text>',
+           f'<text x="200" y="18" text-anchor="middle">{html.escape(title, quote=False)}</text>',
            f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
            'fill="none" stroke="black"/>',
            '<text x="220" y="312" text-anchor="middle">a1 estimate</text>',

@@ -20,28 +20,36 @@ w = M (c + u), M = (I - D0)^-1, into x(t+1) = Ax x + Bx w, c = Cx x gives
   x(t+1) = A x(t) + B u(t),  w(t) = C x(t) + D u(t),
   A = Ax + Bx M Cx,  B = Bx M,  C = M Cx,  D = M.
 
-Lifted recursion (block-state realization): the N samples are cut into
-P = ceil(N/K) blocks of K = isqrt(N) samples, K a function of N alone so
-that bits do not depend on anything but the record.  With b(t) = B u(t-1)
-and S_m = x(mK - 1) the state before block m,
-  x(mK + j) = z_m(j) + A^(j+1) S_m,   z_m(j) = sum_{i<=j} A^(j-i) b(mK + i).
-Three recursions replace the N sequential steps: the forced responses z_m,
-K steps each a (P, n) x (n, n) GEMM over all blocks at once; the block
-starts S_{m+1} = A^K S_m + z_m(K-1), P vector steps; and the free responses
-A^(j+1) S_m, K more GEMM steps that propagate S.  So about 2K + P calls do
-the work of N: about 300 small ones, (100, 35) x (35, 35) on the case study
-at N = 1e4, which Monte-Carlo threads barely overlap (1.1-1.3x on two
-threads against 1.7x for a whole direct run; 2-vCPU host, BLAS at one
-thread).  Working memory is the one (P K, n) state array, (N, 35)
-on the case study up to K - 1 extra rows, plus (P, n) temporaries;
-w = C x + D u is formed in blocks of _OUT_CHUNK samples, in u's place.
+Chunked, lifted recursion: the record is cut into ceil(N / _CHUNK) chunks
+whose lengths differ by at most one sample, each walked in turn from the
+state the one before left (zero for the first).  u = r + v is formed one
+chunk at a time in w's array, and w = C x + D u overwrites it there, in
+products of _OUT_BLOCK samples.  A chunk of Nc samples from sample s is cut
+into P = ceil(Nc/K) blocks of K = isqrt(Nc) samples; chunk and block lengths
+are functions of N alone, so bits depend on nothing but the record.  With
+S_m = x(s + mK) the state at block m's first sample:
+  1. block ends E_m = sum_{i<K} A^(K-1-i) B u(s + mK + i), for all blocks
+     in one batched product: H[l, i] = (A^(K-1-i) B)^T[l] (H's powers by
+     doubling), node l's input in the blocks is a (P-1, K) view of u, and
+     the L products (P-1, K) x (K, n) are summed, the GEMM
+     (P-1, K L) x (K L, n) without a time-major copy of u;
+  2. block starts S_{m+1} = A^K S_m + E_m, P - 1 vector steps;
+  3. one forward pass x(t) = A x(t-1) + B u(t-1) from the true starts, K - 1
+     steps each a (P, n) x (n, n) GEMM over all blocks at once, on top of
+     one product for every B u(t-1).
+That is N (n^2 + 2 L n) multiply-adds in about K + P calls in place of N:
+about 200 per 1e4-sample chunk, (100, 35) x (35, 35) on the case study.
+_CHUNK keeps a 1e4-sample run in one chunk.  Working memory is O(_CHUNK),
+not O(N): one (P K, n) state array that every chunk reuses, H, the (L, P, n)
+block-end products and the (L, _OUT_BLOCK) terms of w, 3.8 MiB on the case
+study at 1e4 samples and at 1e5 (tracemalloc).
 
-Only the states reachable from the input's nonzero rows are stepped (the
-closure of those columns of B under A's nonzero pattern).  The others stay
-exactly zero, so this changes nothing where the input reaches every state,
-as under simulate, whose noise drives every node; and an unexcited part
-whose A^K overflows (spectral radius above about exp(709 / K)) cannot turn
-the block starts non-finite.
+Only the states reachable from the nodes where r or v is ever nonzero are
+stepped (the closure of those columns of B under A's nonzero pattern).  The
+others stay exactly zero, so this changes nothing where the input reaches
+every state, as under simulate, whose noise drives every node; and an
+unexcited part whose powers in H and A^K overflow (spectral radius above
+about exp(709 / K)) cannot turn the block ends or starts non-finite.
 
 The kernel returns (w, bad): bad is -1 on success, else the index of the
 first non-finite column of w (instability blow-up), with w zeroed after it.
@@ -56,8 +64,11 @@ import math
 
 import numpy as np
 
-# samples per output block: bounds the temporaries of w = C X + D u
-_OUT_CHUNK = 1024
+#: Samples per chunk of the record, at most: a run of up to _CHUNK samples
+#: is one chunk, and longer records are walked in chunks of equal length.
+_CHUNK = 10_000
+#: Samples per product of w = C x + D u, which keeps its temporaries small.
+_OUT_BLOCK = 1024
 
 
 def _realize(model):
@@ -93,45 +104,66 @@ def _realize(model):
     return Ax + B @ Cx, B, M @ Cx, M
 
 
-def sim_loop_numpy(A, B, C, D, u):
+def sim_loop_numpy(A, B, C, D, r, v):
     """The documented recursion x(t) = A x(t-1) + B u(t-1),
-    w(t) = C x(t) + D u(t), evaluated in the lifted form of the module
-    docstring.  u is overwritten: the returned w is u's array."""
-    L, N = u.shape
-    reach = (B[:, u.any(axis=1)] != 0).any(axis=1)
+    w(t) = C x(t) + D u(t), u = r + v, evaluated chunk by chunk in the lifted
+    form of the module docstring.  r and v are left untouched."""
+    L, N = r.shape
+    excited = r.any(axis=1) | v.any(axis=1)
+    reach = (B[:, excited] != 0).any(axis=1)
     grown = reach | (A[:, reach] != 0).any(axis=1)
     while not (grown == reach).all():   # close under A's nonzero pattern
         reach, grown = grown, grown | (A[:, grown] != 0).any(axis=1)
     if not reach.all():                 # step only the reachable states
         A, B, C = A[np.ix_(reach, reach)], B[reach], C[:, reach]
     n = A.shape[0]
-    K = math.isqrt(N)
-    P = -(-N // K)
-    X = np.zeros((P * K, n))
-    Xb = X.reshape(P, K, n)             # Xb[m, j] is row mK + j of X
-    w = u
-    AT = A.T
+    AT, BT = A.T, B.T
+    w = np.empty((L, N))
+    x = np.zeros(n)                     # state at the chunk's first sample
+    chunks = -(-N // _CHUNK)
+    top = -(-N // chunks)               # the first chunk is the longest
+    Xbuf = np.empty((top + math.isqrt(top), n))
+    K = 0
     # blow-ups are reported through the bad-sample return value, so silence
     # the overflow warnings the final diverging samples would emit
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(u[:, :-1].T, B.T, out=X[1:N])
-        for j in range(1, K):           # forced responses z_m(j)
-            Xb[:, j] += Xb[:, j - 1] @ AT
-        S = np.zeros((P, n))            # S[m] = x(mK - 1)
-        if P > 1:                       # S[0] = 0: no product with A^K
-            S[1] = Xb[0, K - 1]
-        AKT = np.linalg.matrix_power(AT, K)
-        for m in range(2, P):
-            S[m] = S[m - 1] @ AKT + Xb[m - 1, K - 1]
-        for j in range(K):              # free responses A^(j+1) S_m
-            S = S @ AT
-            Xb[:, j] += S
-        for s in range(0, N, _OUT_CHUNK):
-            blk = slice(s, min(s + _OUT_CHUNK, N))
-            w[:, blk] = C @ X[blk].T + D @ u[:, blk]
-            finite = np.isfinite(w[:, blk]).all(axis=0)
-            if not finite.all():
-                t = s + int(np.argmin(finite))
-                w[:, t + 1:] = 0.0
-                return w, t
+        for c in range(chunks):
+            s, e = -(-c * N // chunks), -(-(c + 1) * N // chunks)
+            if math.isqrt(e - s) != K:
+                K = math.isqrt(e - s)
+                H = np.empty((K, L, n))  # H[i] = (A^(K-1-i) B)^T
+                H[K - 1] = BT
+                done, AT2 = 1, AT       # doubling: H[K-done:] is filled
+                while done < K:         # and AT2 = (A^T)^done
+                    k = min(done, K - done)
+                    np.matmul(H[K - k:], AT2, out=H[K - done - k:K - done])
+                    done, AT2 = done + k, AT2 @ AT2
+                H = H.transpose(1, 0, 2)  # H[l, i] = (A^(K-1-i) B)^T[l]
+                AKT = np.linalg.matrix_power(AT, K)
+            P = -(-(e - s) // K)
+            u = np.add(r[:, s:e], v[:, s:e], out=w[:, s:e])
+            E = np.matmul(u[:, :(P - 1) * K].reshape(L, P - 1, K),
+                          H).sum(axis=0)
+            S = np.empty((P, n))        # S[m] = x(s + mK)
+            S[0] = x
+            if P > 1:   # a zero start skips A^K, which may overflow
+                S[1] = x @ AKT + E[0] if x.any() else E[0]
+            for m in range(2, P):
+                S[m] = S[m - 1] @ AKT + E[m - 1]
+            X = Xbuf[:P * K]
+            X[e - s:] = 0.0
+            np.matmul(u[:, :-1].T, BT, out=X[1:e - s])
+            Xb = X.reshape(P, K, n)     # Xb[m, j] is row mK + j of X
+            Xb[:, 0] = S
+            for j in range(1, K):
+                Xb[:, j] += Xb[:, j - 1] @ AT
+            x = X[e - s - 1] @ AT + u[:, -1] @ BT
+            for a in range(s, e, _OUT_BLOCK):
+                b = min(a + _OUT_BLOCK, e)
+                w[:, a:b] = C @ X[a - s:b - s].T + D @ w[:, a:b]
+                finite = np.isfinite(w[:, a:b]).all(axis=0)
+                if not finite.all():
+                    t = a + int(np.argmin(finite))
+                    w[:, t + 1:] = 0.0
+                    return w, t
     return w, -1

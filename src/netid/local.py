@@ -27,7 +27,10 @@ Gram serves both its rank check and the solve.  Correlations and the fit's
 convolution take short FFTs of record segments, never of the whole record
 (overlap-save; Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd
 ed., sec. 8.7); no lag wraps in a segment, so each partial sum and their
-total are exact.
+total are exact.  Segments are transformed _SEGMENT_GROUP at a time, and the
+record's rows are read in place, so besides the Gram and its factor the
+regression's working memory does not grow with the record: at 1e5 samples
+it holds no copy of a signal and no full-length fit.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ CONDITION_LIMIT = 1e10
 GRAM_CONDITION_LIMIT = 1e10
 #: Rows per diagonal block of the T-entry solve's triangular substitutions.
 _SOLVE_BLOCK = 64
+#: Overlap-save segments whose spectra the T-entry regression holds at a
+#: time, so that its working memory does not grow with the record.
+_SEGMENT_GROUP = 8
 #: Fraction of droppable grid points beyond which the solve is rejected.
 MAX_DROP_FRACTION = 0.2
 #: Default FIR order for the T-entry estimates (lags 0..order).
@@ -164,52 +170,73 @@ class TSubmatrixEstimate:
                 for k, r in enumerate(self.freq.rows) for c in self.cols}
 
 
-def _normal_equations(r: np.ndarray, w: np.ndarray, P: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _segment_spectra(rows, start: int, count: int, length: int, step: int,
+                     F: int) -> np.ndarray:
+    """Length-F real FFTs, shape (len(rows), count, F // 2 + 1), of the
+    windows row[start + s step : start + s step + length], s < count, of
+    each row, zero past the row's end.  Only the span the windows cover is
+    copied."""
+    span = (count - 1) * step + length
+    seg = np.zeros((len(rows), span))
+    for k, row in enumerate(rows):
+        part = row[start:start + span]
+        seg[k, :len(part)] = part
+    return np.fft.rfft(sliding_window_view(seg, length, axis=1)[:, ::step], F)
+
+
+def _normal_equations(r, w, P: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Normal equations of the FIR regression of w on lags 0..P of r.
 
-    r is (C, N) excitations, w is (M, N) outputs.  The regressor Phi has one
-    row per sample t = P..N-1 and one column r_c[t - l] per excitation c and
-    lag l (c major), but is never built.  Returns the Gram Phi^T Phi, the
-    right-hand side Phi^T Y (a column per output) and r's segment spectra.
+    r is C excitation rows, w is M output rows, each of N samples (2-D
+    arrays or sequences of 1-D rows, which are read, not copied).  The
+    regressor Phi has one row per sample t = P..N-1 and one column
+    r_c[t - l] per excitation c and lag l (c major), but is never built.
+    Returns the Gram Phi^T Phi, the right-hand side Phi^T Y (a column per
+    output) and the segmentation (F, B, groups) below, groups listing each
+    segment group's first segment and segment count.
 
     Phi^T Y and the first block row of the Gram are windowed correlations,
     sum over t = P..N-1 of x[t] r_c[t - l], for x a row of r or w.  The
     window is cut into S segments of B = F - P samples, F = 2048 or, for
-    P > 1023, the next power of two >= 2(P + 1).  Segment s pairs
-    x[P + sB : P + sB + B] (zero-padded past N) with r_c[sB : sB + F] in
-    length-F real FFTs; lag l of their circular correlation sits at index
-    P - l, and P + B = F, so no lag wraps and the segment's correlation is
-    exact.  The window's is their sum, taken over the spectra before one
-    inverse FFT per (row, excitation).  Every other Gram entry follows from
-    the one above-left by the exact window end-correction
+    P > 1023, the next power of two >= 2(P + 1).
+    Segment s pairs x[P + sB : P + sB + B] (zero-padded past N) with
+    r_c[sB : sB + F] in length-F real FFTs; lag l of their circular
+    correlation sits at index P - l, and P + B = F, so no lag wraps and the
+    segment's correlation is exact.  The window's is their sum, taken over
+    the spectra before one inverse FFT per (row, excitation); the spectra
+    of _SEGMENT_GROUP segments are formed at a time, and the groups' sums
+    added.  Every other Gram entry follows from the one above-left by the
+    exact window end-correction
         G[l+1, l'+1] = G[l, l'] + r_c[P-1-l] r_c'[P-1-l']
                                 - r_c[N-1-l] r_c'[N-1-l'],
     the sample pair entering the window minus the pair leaving it, so the
     result equals Phi^T Phi, not a circular approximation of it.
     """
-    C, N = r.shape
+    C, N = len(r), len(r[0])
     F = max(2048, 1 << (2 * P + 1).bit_length())
     B = F - P
     S = -(-(N - P) // B)
-    pad = ((0, 0), (0, S * B + P - N))
-    x = np.pad(np.concatenate([r, w])[:, P:], pad)
-    R = np.fft.rfft(sliding_window_view(np.pad(r, pad), F, axis=1)[:, ::B])
-    X = np.fft.rfft(x.reshape(len(x), S, B), F)
-    cross = np.matmul(X.conj().transpose(2, 0, 1), R.transpose(2, 1, 0))
+    groups = [(a, min(_SEGMENT_GROUP, S - a))
+              for a in range(0, S, _SEGMENT_GROUP)]
+    x = [*r, *w]
+    for a, g in groups:
+        R = _segment_spectra(r, a * B, g, F, B, F)
+        X = _segment_spectra(x, P + a * B, g, B, B, F)
+        part = np.matmul(X.conj().transpose(2, 0, 1), R.transpose(2, 1, 0))
+        cross = part if a == 0 else cross + part
     xc = np.fft.irfft(cross.transpose(1, 2, 0), F)[..., P::-1]
     gram = np.empty((C, P + 1, C, P + 1))
     gram[:, 0] = xc[:C]
     gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
-    head = r[:, :P][:, ::-1]  # r_c[P-1-l], l = 0..P-1
-    tail = r[:, ::-1][:, :P]  # r_c[N-1-l]
+    head = np.stack([row[:P][::-1] for row in r])  # r_c[P-1-l], l < P
+    tail = np.stack([row[N - P:][::-1] for row in r])  # r_c[N-1-l]
     for lag in range(P):
         step = (np.multiply.outer(head[:, lag], head)
                 - np.multiply.outer(tail[:, lag], tail))
         np.add(gram[:, lag, :, :-1], step, out=gram[:, lag + 1, :, 1:])
     n_params = C * (P + 1)
     rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
-    return gram.reshape(n_params, n_params), rhs, R
+    return gram.reshape(n_params, n_params), rhs, (F, B, groups)
 
 
 def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -260,9 +287,10 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     excitations' auto- and cross-correlations and the excitation-to-node
     correlations (see _normal_equations) without building the regressor.
     The Gram's one Cholesky factor is both the rank check and the solve
-    (_cholesky_solve), and the fit scores come from the overlap-save
-    convolution of the correlations' segment spectra of the excitations
-    with the estimated FIR coefficients.
+    (_cholesky_solve), and the Gram is released once factored.  The fit
+    scores come from the overlap-save convolution of the excitations'
+    segment spectra with the estimated FIR coefficients, one segment group
+    at a time, summing each row's squared error over the groups.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -279,30 +307,39 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
 
     P = fir_order
     N = record.N
-    r = np.stack([record.node_excitation(c) for c in col_nodes])
-    w = np.stack([record.node_output(m) for m in row_nodes])
-    gram, rhs, R = _normal_equations(r, w, P)
+    r = [record.node_excitation(c) for c in col_nodes]
+    w = [record.node_output(m) for m in row_nodes]
+    gram, rhs, (F, B, groups) = _normal_equations(r, w, P)
     try:
         chol = np.linalg.cholesky(gram)
         condition = float(np.max(np.diag(gram) / np.diag(chol) ** 2))
     except np.linalg.LinAlgError:
         condition = np.inf
+    del gram
     if not condition <= GRAM_CONDITION_LIMIT:
         raise ValueError(
             f"T-entry regressor is rank-deficient (Gram condition estimate "
             f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
             f"excitations are not sufficiently independent")
     theta = _cholesky_solve(chol, rhs)
+    del chol
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))
-    F = 2 * (R.shape[-1] - 1)  # index P + j of segment s is y_hat[P + sB + j]
-    Y = w[:, P:]
-    Yhat = np.fft.irfft(np.einsum("mcf,csf->msf", np.fft.rfft(coeffs, F), R),
-                        F)[..., P:].reshape(len(Y), -1)[:, :N - P]
+    spectra = np.fft.rfft(coeffs, F)
+    err2 = np.zeros(len(w))  # index P + j of segment s is y_hat[P + sB + j]
+    for a, g in groups:
+        R = _segment_spectra(r, a * B, g, F, B, F)
+        y_hat = np.fft.irfft(np.einsum("mcf,csf->msf", spectra, R),
+                             F)[..., P:].reshape(len(w), -1)
+        lo, hi = P + a * B, min(P + (a + g) * B, N)
+        for k, row in enumerate(w):
+            d = row[lo:hi] - y_hat[k, :hi - lo]
+            err2[k] += d @ d
     fits = []
-    for y, y_hat in zip(Y, Yhat):
-        err = np.linalg.norm(y - y_hat)
+    for row, e2 in zip(w, err2):
+        y = row[P:]
+        err = np.sqrt(e2)
         spread = np.linalg.norm(y - y.mean())
         fits.append(1.0 - err / spread if spread > 0.0 else
                     (1.0 if err == 0.0 else 0.0))

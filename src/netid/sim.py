@@ -47,7 +47,7 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
     v = np.zeros_like(r) if v is None else np.ascontiguousarray(v, dtype=float)
     if v.shape != r.shape:
         raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
-    w, bad = sim_loop_numpy(*model.realization, r + v)
+    w, bad = sim_loop_numpy(*model.realization, r, v)
     if bad >= 0:
         raise SimulationDiverged(bad)
     return SignalRecord(w=w, r=r, v=v, seed=-1 if seed is None else seed)
@@ -61,14 +61,15 @@ def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
             raise ValueError(f"excited node {n} outside 1..{model.L}")
     L, N = model.L, spec.N
     rng = np.random.default_rng(spec.seed)
-    r = rng.standard_normal((L, N)) * np.sqrt(spec.r_variance)
+    r = rng.standard_normal((L, N))
+    r *= np.sqrt(spec.r_variance)
     mask = np.zeros(L, dtype=bool)
     for n in spec.excited_nodes:
         mask[n - 1] = True
     r[~mask] = 0.0
-    v = rng.standard_normal((L, N)) * np.sqrt(spec.v_variance)
-    rec = simulate_inputs(model, r, v, seed=spec.seed)
-    return rec
+    v = rng.standard_normal((L, N))
+    v *= np.sqrt(spec.v_variance)
+    return simulate_inputs(model, r, v, seed=spec.seed)
 
 
 def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:

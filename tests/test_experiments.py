@@ -1,6 +1,9 @@
 """Experiment harness: scenario files, Monte-Carlo, emission, CLI."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +417,26 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "scenario" in text
 
+    def test_report_svg_escapes_the_title(self, tmp_path):
+        (tmp_path / "results.csv").write_text(
+            "scenario_id,run,a1,a2,informative\n"
+            "x<&>'\",0,-0.3,0.8,true\n")
+        assert main(["report", "--out", str(tmp_path), "--format",
+                     "svg"]) == 0
+        svg = next(tmp_path.glob("scatter_scenario_*.svg")).read_text()
+        assert "scenario x&lt;&amp;&gt;'\": 1 runs" in svg
+
+    def test_import_leaves_out_the_network_stack(self):
+        # html.escape serves the SVG titles; xml.sax.saxutils would import
+        # urllib.request and, through it, http.client, email and ssl
+        code = ("import sys, netid; print(sorted(m for m in ('urllib.request'"
+                ", 'http.client') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  sys.path)})
+        assert done.stdout.strip() == "[]"
+
     def test_report_svg_skips_failed_runs(self, tmp_path, capsys):
         (tmp_path / "results.csv").write_text(
             "scenario_id,run,a1,a2,informative\n"
@@ -515,6 +538,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["montecarlo", "--scenario", "1", "--format", "svg",
                   "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("runs, rows", [(None, {"a": 3, "b": 2}),
+                                            ("4", {"a": 4, "b": 4})])
+    def test_montecarlo_runs_come_from_the_file(self, tmp_path, runs, rows):
+        scn = tmp_path / "two.scn"
+        scn.write_text("format 1\n" + "".join(
+            f"scenario {sid}\n  excite 1 2 3 4 5 6 7 8\n  method direct\n"
+            f"  target 3 4\n  runs {n}\n  samples 500\n  seed 0\n"
+            for sid, n in (("a", 3), ("b", 2))))
+        out = tmp_path / "out"
+        argv = ["montecarlo", "--scenario", str(scn), "--out", str(out)]
+        assert main(argv + (["--runs", runs] if runs else [])) == 0
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        assert {sid: sum(line.startswith(sid + ",") for line in lines)
+                for sid in "ab"} == rows
 
     def test_montecarlo_short_record_fails_before_any_run(self, tmp_path,
                                                           capsys):

@@ -9,6 +9,7 @@ from netid import (ExcitationSpec, FreqGrid, FreqResponseMatrix, NetworkModel,
                    simulate_inputs, solve_sink_side, solve_source_side,
                    true_T)
 
+from netid import local
 from netid.local import _cholesky_solve, _normal_equations
 
 from conftest import random_rational_network, random_stable_network
@@ -206,6 +207,47 @@ class TestNormalEquations:
         est = estimate_T_entries(record, rows, cols, fir_order=P)
         assert np.abs(est.coefficients - coeffs).max() <= 1e-10
         assert np.abs(np.array(est.fit_scores) - fits).max() <= 1e-12
+
+
+class TestSegmentGroups:
+    """The normal equations and the fit, summed over groups of overlap-save
+    segments, against one group: 20_000 samples at FIR order 150 are 11
+    segments of 2048 - 150 rows, the last of them partial."""
+
+    @pytest.fixture(scope="class")
+    def case(self, case_study):
+        plan = plan_experiment_for_model(case_study, (3, 4))
+        record = simulate(case_study,
+                          ExcitationSpec(plan.excite_set, N=20_000, seed=11))
+        return record, plan.measure_set, plan.excite_set
+
+    @pytest.mark.parametrize("group", [1, 3, 8])
+    def test_groups_match_one_group(self, case, group, monkeypatch):
+        record, rows, cols = case
+        r = np.stack([record.node_excitation(c) for c in cols])
+        w = np.stack([record.node_output(m) for m in rows])
+        monkeypatch.setattr(local, "_SEGMENT_GROUP", 11)
+        gram, rhs, _ = _normal_equations(r, w, 150)
+        est = estimate_T_entries(record, rows, cols)
+        monkeypatch.setattr(local, "_SEGMENT_GROUP", group)
+        gram_g, rhs_g, (_, _, groups) = _normal_equations(r, w, 150)
+        est_g = estimate_T_entries(record, rows, cols)
+        assert sum(g for _, g in groups) == 11
+        assert len(groups) == -(-11 // group)
+        assert np.abs(gram_g - gram).max() <= 1e-15 * np.abs(gram).max()
+        assert np.abs(rhs_g - rhs).max() <= 1e-15 * np.abs(rhs).max()
+        assert np.abs(est_g.coefficients - est.coefficients).max() <= 1e-12
+        assert np.abs(np.subtract(est_g.fit_scores, est.fit_scores)
+                      ).max() <= 1e-15
+
+    def test_rows_are_read_not_copied(self, case):
+        # sequences of row views give the arrays' normal equations
+        record, rows, cols = case
+        r = [record.node_excitation(c) for c in cols]
+        w = [record.node_output(m) for m in rows]
+        gram, rhs, _ = _normal_equations(r, w, 150)
+        gram_a, rhs_a, _ = _normal_equations(np.stack(r), np.stack(w), 150)
+        assert np.array_equal(gram, gram_a) and np.array_equal(rhs, rhs_a)
 
 
 class TestCholeskySolve:

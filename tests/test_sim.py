@@ -190,6 +190,67 @@ class TestKernel:
         assert np.array_equal(rec1.v, rec2.v)
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Walk the record in chunks of at most 50 samples, so that short
+    records cross several chunk boundaries."""
+    monkeypatch.setattr(kernels, "_CHUNK", 50)
+
+
+class TestChunks:
+    """The chunked kernel against the per-sample recursion with chunks of
+    at most 50 samples: N = 49 and 50 are one chunk, 51 two (26 and 25
+    samples), 97 two whose block lengths differ (isqrt(49) = 7, isqrt(48)
+    = 6), and 400 eight."""
+
+    @pytest.mark.parametrize("N", [1, 2, 37, 49, 50, 51, 97, 400])
+    def test_matches_reference_recursion(self, case_study, small_chunks, N):
+        rng = np.random.default_rng(N)
+        models = [case_study] + [random_rational_network(rng)
+                                 for _ in range(3)]
+        for model in models:
+            spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=42)
+            rec = simulate(model, spec)
+            w_ref, bad = _sim_loop_py(*pack_model(model), rec.r + rec.v)
+            assert bad == -1
+            assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("delay", [1, 2, 3])
+    @pytest.mark.parametrize("gain", [1.05, 1.5, 10.0, 1e4])
+    def test_divergence_sample_tracks_reference(self, small_chunks, gain,
+                                                delay):
+        # every case diverges after the first chunk; see TestDivergence
+        m = make_two_node_loop(gain, gain, delay=delay)
+        r = np.zeros((2, 50_000))
+        r[0, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, bad_ref = _sim_loop_py(*pack_model(m), r)
+        assert bad_ref >= 50
+        with pytest.raises(SimulationDiverged) as exc:
+            simulate_inputs(m, r)
+        assert 0 <= bad_ref - exc.value.sample <= delay - 1
+
+    def test_unexcited_unstable_part_stays_zero_across_chunks(
+            self, small_chunks):
+        m = NetworkModel(4, {(2, 1): RationalTF([0.0, 0.5]),
+                             (3, 4): RationalTF([0.0, 1e4]),
+                             (4, 3): RationalTF([0.0, 1e4])})
+        r = np.zeros((4, 10_000))
+        r[0, 0] = 1.0
+        r[0, 5_000] = -2.0  # a later chunk excites the reachable part again
+        rec = simulate_inputs(m, r)
+        w_ref, bad = _sim_loop_py(*pack_model(m), r)
+        assert bad == -1
+        assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
+        assert not rec.w[2:].any()
+
+    def test_inputs_untouched(self, case_study):
+        rec = simulate(case_study, ExcitationSpec([3, 4], N=120, seed=2))
+        r, v = rec.r.copy(), rec.v.copy()
+        simulate_inputs(case_study, rec.r, rec.v)
+        assert np.array_equal(rec.r, r) and np.array_equal(rec.v, v)
+
+
 class TestRandomnessContract:
     def test_documented_draw_order(self, case_study):
         spec = ExcitationSpec([3, 4], N=50, seed=123, r_variance=2.0,
