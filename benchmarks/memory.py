@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeat", type=int, default=7)
     args = p.parse_args(argv)
     model = netid.build_case_study()
-    model.realization  # built once per model, before anything is measured
+    layer_rows(model, 2_000, 1)  # lazy set-up, such as the realization
     rows = []
     for N in args.samples:
         rows += layer_rows(model, N, args.repeat)

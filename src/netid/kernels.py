@@ -40,9 +40,9 @@ S_m = x(s + mK) the state at block m's first sample:
 That is N (n^2 + 2 L n) multiply-adds in about K + P calls in place of N:
 about 200 per 1e4-sample chunk, (100, 35) x (35, 35) on the case study.
 _CHUNK keeps a 1e4-sample run in one chunk.  Working memory is O(_CHUNK),
-not O(N): one (P K, n) state array that every chunk reuses, H, the (L, P, n)
-block-end products and the (L, _OUT_BLOCK) terms of w, 3.8 MiB on the case
-study at 1e4 samples and at 1e5 (tracemalloc).
+not O(N): one (P K, n) state array that every chunk reuses, H and the
+(L, _OUT_BLOCK) terms of w, 3.8 MiB on the case study at 1e4 samples and at
+1e5 (tracemalloc), H's 0.5 MiB of it.
 
 Only the states reachable from the nodes where r or v is ever nonzero are
 stepped (the closure of those columns of B under A's nonzero pattern).  The
@@ -65,7 +65,8 @@ import math
 import numpy as np
 
 #: Samples per chunk of the record, at most: a run of up to _CHUNK samples
-#: is one chunk, and longer records are walked in chunks of equal length.
+#: is one chunk, and a longer record is cut into the fewest chunks whose
+#: lengths differ by at most one sample.
 _CHUNK = 10_000
 #: Samples per product of w = C x + D u, which keeps its temporaries small.
 _OUT_BLOCK = 1024
@@ -142,8 +143,10 @@ def sim_loop_numpy(A, B, C, D, r, v):
                 AKT = np.linalg.matrix_power(AT, K)
             P = -(-(e - s) // K)
             u = np.add(r[:, s:e], v[:, s:e], out=w[:, s:e])
-            E = np.matmul(u[:, :(P - 1) * K].reshape(L, P - 1, K),
-                          H).sum(axis=0)
+            U = u[:, :(P - 1) * K].reshape(L, P - 1, K)
+            E = np.zeros((P - 1, n))    # summed node by node, in place
+            for l in range(L):
+                E += U[l] @ H[l]
             S = np.empty((P, n))        # S[m] = x(s + mK)
             S[0] = x
             if P > 1:   # a zero start skips A^K, which may overflow

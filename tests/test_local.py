@@ -240,8 +240,8 @@ class TestSegmentGroups:
         assert np.abs(np.subtract(est_g.fit_scores, est.fit_scores)
                       ).max() <= 1e-15
 
-    def test_rows_are_read_not_copied(self, case):
-        # sequences of row views give the arrays' normal equations
+    def test_row_sequences_match_arrays(self, case):
+        # sequences of row views, as estimate_T_entries passes them
         record, rows, cols = case
         r = [record.node_excitation(c) for c in cols]
         w = [record.node_output(m) for m in rows]
