@@ -9,8 +9,8 @@ Monte-Carlo study bit-for-bit, local scenarios included: rerunning
 
 Runs execute on a thread pool that returns them in run order, so
 concurrency never affects output.  Threads overlap a run's noise draws and
-FFT and BLAS work, and its simulation kernel only in part: 1.3-1.4x on two
-threads against 1.5-1.8x for simulate with its draws (2-vCPU host, BLAS at
+FFT and BLAS work, and its simulation kernel only in part: 1.3-1.5x on two
+threads against 1.5-2.0x for simulate with its draws (2-vCPU host, BLAS at
 one thread; see kernels).
 """
 
