@@ -9,11 +9,11 @@ only a small submatrix of the network response (netid.local), and a
 reproducible experiments harness with a CLI (netid.experiments, netid.cli).
 """
 
-from .tf import FreqGrid, PolyQ, RationalTF, is_stable
+from .tf import FreqGrid, RationalTF
 from .model import (ExcitationSpec, NetworkFormatError, NetworkModel,
                     SignalRecord, build_case_study, load_network,
                     save_network)
-from .sim import SimulationDiverged, impulse_response, simulate, simulate_inputs
+from .sim import SimulationDiverged, simulate, simulate_inputs
 from .iomap import FreqResponseMatrix, is_internally_stable, true_T
 from .direct import (DirectEstimate, DirectModelStructure, build_regressor,
                      estimate_direct)
@@ -32,13 +32,13 @@ __all__ = [
     "ExcitationSpec", "DirectEstimate", "DirectModelStructure", "FreqGrid",
     "FreqResponseMatrix", "LocalSolveResult", "MethodChoice",
     "ModuleEstimate", "NetworkFormatError", "NetworkModel", "ParametricFit",
-    "PolyQ", "RationalTF", "ResultTable", "RunResult", "Scenario",
+    "RationalTF", "ResultTable", "RunResult", "Scenario",
     "ScenarioFormatError", "ScenarioResult", "SignalRecord",
     "SimulationDiverged", "TSubmatrixEstimate", "build_case_study",
     "build_regressor", "emit_results", "estimate_T_entries",
-    "estimate_direct", "fit_parametric", "impulse_response",
-    "is_internally_stable", "is_stable", "load_network", "load_scenarios",
-    "plan_experiment", "plan_experiment_for_model", "read_results",
-    "run_local_pipeline", "run_monte_carlo", "save_network", "simulate",
-    "simulate_inputs", "solve_sink_side", "solve_source_side", "true_T",
+    "estimate_direct", "fit_parametric", "is_internally_stable",
+    "load_network", "load_scenarios", "plan_experiment",
+    "plan_experiment_for_model", "read_results", "run_local_pipeline",
+    "run_monte_carlo", "save_network", "simulate", "simulate_inputs",
+    "solve_sink_side", "solve_source_side", "true_T",
 ]

@@ -44,6 +44,8 @@ class DirectModelStructure:
     def __post_init__(self):
         if not self.regressor_nodes:
             raise ValueError("at least one regressor node is required")
+        if min(self.target_node, *self.regressor_nodes) < 1:
+            raise ValueError("node indices are 1-based")
         if len(self.bands) != len(self.regressor_nodes):
             raise ValueError("one (first_delay, last_delay) band per regressor node")
         for node, (d0, d1) in zip(self.regressor_nodes, self.bands):
@@ -70,10 +72,6 @@ class DirectModelStructure:
     @property
     def max_delay(self) -> int:
         return max(d1 for _, d1 in self.bands)
-
-    @property
-    def param_count(self) -> int:
-        return sum(d1 - d0 + 1 for d0, d1 in self.bands)
 
     def check_record_length(self, N: int) -> None:
         """Raise unless an N-sample record leaves the regressor a row."""

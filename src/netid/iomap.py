@@ -32,10 +32,6 @@ class FreqResponseMatrix:
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape} != {expect}")
 
-    def entry(self, j: int, i: int) -> np.ndarray:
-        """Samples of the (j, i) entry across the grid."""
-        return self.values[:, self.rows.index(j), self.cols.index(i)]
-
     def submatrix(self, rows, cols) -> np.ndarray:
         """(n_grid, len(rows), len(cols)) array for the given node subsets."""
         ri = [self.rows.index(j) for j in rows]

@@ -24,6 +24,11 @@ from .tf import RationalTF
 _WELLPOSED_COND_LIMIT = 1e12
 
 
+def _check_node(n: int, L: int) -> None:
+    if not (1 <= n <= L):
+        raise ValueError(f"node {n} outside 1..{L}")
+
+
 class NetworkFormatError(ValueError):
     """Raised for malformed network files, with the offending line number."""
 
@@ -112,31 +117,17 @@ class NetworkModel:
         """Edges as a sorted tuple of ((j, i), tf) pairs (deterministic order)."""
         return tuple(sorted(self._edges.items()))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
     # -- topology --------------------------------------------------------------
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
         """Nodes i with an edge i -> j."""
-        self._check_node(j)
+        _check_node(j, self._L)
         return self._ins.get(j, ())
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j with an edge i -> j."""
-        self._check_node(i)
+        _check_node(i, self._L)
         return self._outs.get(i, ())
-
-    def in_degree(self, j: int) -> int:
-        return len(self.in_neighbors(j))
-
-    def out_degree(self, i: int) -> int:
-        return len(self.out_neighbors(i))
-
-    def _check_node(self, n: int) -> None:
-        if not (1 <= n <= self._L):
-            raise ValueError(f"node {n} outside 1..{self._L}")
 
     # -- matrices ----------------------------------------------------------------
 
@@ -163,18 +154,6 @@ class NetworkModel:
         for (j, i), tf in self._edges.items():
             G[:, j - 1, i - 1] = tf.eval_at(om)
         return G if np.ndim(omega) else G[0]
-
-    # -- functional updates (for tests and what-if analysis) ---------------------
-
-    def with_edge(self, j: int, i: int, tf: RationalTF) -> NetworkModel:
-        edges = dict(self._edges)
-        edges[(j, i)] = tf
-        return NetworkModel(self._L, edges)
-
-    def without_edge(self, j: int, i: int) -> NetworkModel:
-        edges = dict(self._edges)
-        edges.pop((j, i), None)
-        return NetworkModel(self._L, edges)
 
     # -- equality ------------------------------------------------------------------
 
@@ -242,9 +221,11 @@ class SignalRecord:
         return self.w.shape[1]
 
     def node_output(self, j: int) -> np.ndarray:
+        _check_node(j, self.L)
         return self.w[j - 1]
 
     def node_excitation(self, i: int) -> np.ndarray:
+        _check_node(i, self.L)
         return self.r[i - 1]
 
 

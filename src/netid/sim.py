@@ -44,6 +44,8 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
     r = np.ascontiguousarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != model.L:
         raise ValueError(f"r must be ({model.L}, N), got {r.shape}")
+    if r.shape[1] < 1:
+        raise ValueError(f"sample count must be >= 1, got r of shape {r.shape}")
     v = np.zeros_like(r) if v is None else np.ascontiguousarray(v, dtype=float)
     if v.shape != r.shape:
         raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
@@ -70,16 +72,3 @@ def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
     v = rng.standard_normal((L, N))
     v *= np.sqrt(spec.v_variance)
     return simulate_inputs(model, r, v, seed=spec.seed)
-
-
-def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:
-    """(L, n) noise-free response to a unit impulse on r at in_node, t=0.
-
-    Column-in_node impulse responses of the network's input-output map; row
-    j is the impulse response from r_{in_node} to w_j.
-    """
-    if not (1 <= in_node <= model.L):
-        raise ValueError(f"node {in_node} outside 1..{model.L}")
-    r = np.zeros((model.L, n))
-    r[in_node - 1, 0] = 1.0
-    return simulate_inputs(model, r).w

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Poles with magnitude >= 1 - STABILITY_MARGIN are treated as not strictly
-# inside the unit circle; keeps root-finding jitter from flipping verdicts.
+# A network whose state matrix has spectral radius >= 1 - STABILITY_MARGIN is
+# treated as not stable (netid.iomap); keeps eigenvalue jitter on the unit
+# circle from flipping verdicts.
 STABILITY_MARGIN = 1e-9
 
 # Relative threshold below which a denominator value on the unit circle is
@@ -116,17 +117,6 @@ class RationalTF:
         """Zero-delay gain num(0)/den(0); nonzero iff relative degree is 0."""
         return self.num.coeffs[0]
 
-    def poles(self) -> np.ndarray:
-        """Poles in the z-plane (roots of den with q^-1 = z^-1 substituted).
-
-        For den(q^-1) = a0 + a1 q^-1 + ... + an q^-n the poles solve
-        a0 z^n + a1 z^(n-1) + ... + an = 0, i.e. numpy's root convention
-        applied to the coefficient tuple as given.
-        """
-        if self.den.degree == 0:
-            return np.array([])
-        return np.roots(self.den.coeffs)
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, omega):
@@ -177,15 +167,3 @@ class FreqGrid:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.omegas)
-
-
-def is_stable(tf: RationalTF) -> bool:
-    """True iff every pole lies strictly inside the unit circle.
-
-    A constant denominator has no poles and is stable.  The strictness
-    margin is STABILITY_MARGIN.
-    """
-    p = tf.poles()
-    if p.size == 0:
-        return True
-    return bool(np.all(np.abs(p) < 1.0 - STABILITY_MARGIN))

@@ -1,5 +1,6 @@
 """Test-side reference oracles: impulse responses of T entries and the
-argument-principle stability check.
+argument-principle stability check, and the simulator's impulse response
+that they referee.
 
 The two impulse routes fail in different ways by construction:
 
@@ -33,6 +34,14 @@ from netid.tf import STABILITY_MARGIN
 
 
 # -- impulse-response oracles ---------------------------------------------------
+
+def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:
+    """(L, n) noise-free simulate_inputs response to a unit impulse on r at
+    in_node, t = 0: row j is the impulse response from r_{in_node} to w_j."""
+    r = np.zeros((model.L, n))
+    r[in_node - 1, 0] = 1.0
+    return simulate_inputs(model, r).w
+
 
 def true_T_impulse(model: NetworkModel, out: int, in_: int, n: int,
                    method: str = "spectral", grid_size: int = 1 << 15,
@@ -223,7 +232,7 @@ def reference_is_internally_stable(model: NetworkModel, horizon: int = 2000,
     # count unstable edge poles; reject edge poles (numerically) on the circle
     unstable_edge_poles = 0
     for _, tf in model.edge_items():
-        for p in tf.poles():
+        for p in np.roots(tf.den.coeffs):
             mag = abs(p)
             if abs(mag - 1.0) <= STABILITY_MARGIN:
                 return False

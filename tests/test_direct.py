@@ -14,7 +14,7 @@ class TestStructure:
         assert s.target_node == 3
         assert s.regressor_nodes == (2, 4, 5, 9)
         assert s.bands == ((0, 1), (1, 2), (1, 1), (0, 1))
-        assert s.param_count == 7
+        assert sum(d1 - d0 + 1 for d0, d1 in s.bands) == 7
         assert s.max_delay == 2
 
     def test_slices_partition_parameters(self, case_study):
@@ -22,7 +22,7 @@ class TestStructure:
         sl = s.slices()
         assert [x.start for x in sl] == [0, 2, 4, 5]
         assert [x.stop for x in sl] == [2, 4, 5, 7]
-        assert sl[-1].stop == s.param_count
+        assert sl[-1].stop == sum(d1 - d0 + 1 for d0, d1 in s.bands)
 
     def test_rational_in_edge_rejected(self, case_study):
         with pytest.raises(ValueError, match="rational"):
@@ -40,6 +40,14 @@ class TestStructure:
         with pytest.raises(ValueError, match="itself"):
             DirectModelStructure(target_node=2, regressor_nodes=(2,),
                                  bands=((0, 1),))
+
+    def test_node_zero_rejected(self):
+        with pytest.raises(ValueError, match="1-based"):
+            DirectModelStructure(target_node=3, regressor_nodes=(0,),
+                                 bands=((1, 2),))
+        with pytest.raises(ValueError, match="1-based"):
+            DirectModelStructure(target_node=0, regressor_nodes=(3,),
+                                 bands=((1, 2),))
 
 
 class TestRegressor:
@@ -65,6 +73,14 @@ class TestRegressor:
         assert np.array_equal(Phi[:, 1], w2[1:499])      # node 2, delay 1
         assert np.array_equal(Phi[:, 2], w4[1:499])      # node 4, delay 1
         assert np.array_equal(Phi[:, 3], w4[0:498])      # node 4, delay 2
+
+    def test_node_above_L_rejected(self, record):
+        for target, regressor in ((3, 21), (21, 3)):
+            s = DirectModelStructure(target_node=target,
+                                     regressor_nodes=(regressor,),
+                                     bands=((1, 2),))
+            with pytest.raises(ValueError, match="node 21 outside 1..20"):
+                estimate_direct(record, s)
 
     def test_too_short_record_rejected(self, case_study):
         s = DirectModelStructure.from_model(case_study, 3)

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from netid import (RationalTF, ResultTable, Scenario, ScenarioFormatError,
-                   emit_results, load_scenarios, plan_experiment_for_model,
-                   read_results, run_local_pipeline, run_monte_carlo)
+from netid import (NetworkModel, RationalTF, ResultTable, Scenario,
+                   ScenarioFormatError, emit_results, load_scenarios,
+                   plan_experiment_for_model, read_results,
+                   run_local_pipeline, run_monte_carlo)
 from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, check_scenario,
@@ -256,7 +257,8 @@ class TestMonteCarlo:
     def test_unstable_model_fails_before_any_run(self, case_study,
                                                  simulated):
         # (3,4) scaled x40: spectral radius 4, every run would diverge
-        model = case_study.with_edge(3, 4, RationalTF([0.0, -12.0, 32.0]))
+        model = NetworkModel(case_study.L, {**dict(case_study.edge_items()),
+                                            (3, 4): RationalTF([0.0, -12.0, 32.0])})
         scn = Scenario(id="unst", excited_nodes=tuple(range(1, 21)),
                        method="direct", target=(3, 4), runs=3,
                        samples_per_run=500, base_seed=0)

@@ -56,8 +56,8 @@ class TestPlanExperiment:
         for target in ((3, 4), (2, 1), (4, 3), (9, 8)):
             j, i = target
             plan = plan_experiment_for_model(case_study, target)
-            d_out = case_study.out_degree(i)
-            d_in = case_study.in_degree(j)
+            d_out = len(case_study.out_neighbors(i))
+            d_in = len(case_study.in_neighbors(j))
             assert plan.which == ("source" if d_out <= d_in else "sink")
 
 
@@ -104,6 +104,15 @@ class TestEstimateTEntries:
             with pytest.raises(ValueError, match="rank-deficient"):
                 estimate_T_entries(record, rows=(2,), cols=(1, 2),
                                    fir_order=P)
+
+    def test_node_outside_1_to_L_rejected(self, two_node_chain):
+        record = simulate(two_node_chain, ExcitationSpec([1], N=200, seed=0))
+        for rows, cols, problem in (((0,), (1,), "1-based"),
+                                    ((2,), (0,), "1-based"),
+                                    ((3,), (1,), "node 3 outside 1..2"),
+                                    ((2,), (3,), "node 3 outside 1..2")):
+            with pytest.raises(ValueError, match=problem):
+                estimate_T_entries(record, rows=rows, cols=cols, fir_order=5)
 
     def test_record_too_short(self, two_node_chain):
         record = simulate(two_node_chain, ExcitationSpec([1], N=10, seed=0))

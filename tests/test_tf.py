@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from netid import FreqGrid, PolyQ, RationalTF, is_stable
+from netid import FreqGrid, RationalTF
+from netid.tf import PolyQ
 
 
 class TestPolyQ:
@@ -53,11 +54,6 @@ class TestRationalTF:
         assert RationalTF([0.25, 1.0]).feedthrough() == 0.25
         assert RationalTF([0.0, 1.0]).feedthrough() == 0.0
 
-    def test_poles_in_z_plane(self):
-        # den 1 - 0.5 q^-1 => pole z = 0.5
-        assert np.allclose(RationalTF([1.0], [1.0, -0.5]).poles(), [0.5])
-        assert RationalTF([1.0]).poles().size == 0
-
     def test_eval_conjugate_symmetry(self):
         tf = RationalTF([0.0, -0.3, 0.8], [1.0, -0.2, 0.05])
         om = np.linspace(0.1, np.pi - 0.1, 9)
@@ -71,20 +67,6 @@ class TestRationalTF:
         tf = RationalTF([1.0], [1.0, -1.0])  # den vanishes at x = 1 (omega 0)
         with pytest.raises(ValueError, match="pole on the unit circle"):
             tf.eval_at(np.array([0.0, 1.0]))
-
-
-class TestStability:
-    def test_stable_pole_inside_circle(self):
-        assert is_stable(RationalTF([1.0], [1.0, -0.5]))
-
-    def test_unstable_pole_outside_circle(self):
-        assert not is_stable(RationalTF([1.0], [1.0, -1.2]))
-
-    def test_pole_on_circle_is_not_stable(self):
-        assert not is_stable(RationalTF([1.0], [1.0, -1.0]))
-
-    def test_fir_always_stable(self):
-        assert is_stable(RationalTF([0.0, -0.3, 0.8]))
 
 
 class TestFreqGrid:
