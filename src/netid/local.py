@@ -23,14 +23,17 @@ coefficients by linear least squares.
 The FIR regression never builds its regressor: its normal equations are
 formed from FFT auto- and cross-correlations of the excitations and nodes,
 with exact window end-corrections, and one Cholesky factorization of the
-Gram serves both its rank check and the solve.  Correlations and the fit's
-convolution take short FFTs of record segments, never of the whole record
+Gram serves both its rank check and the solve.  The factor is blocked and
+overwrites the Gram: it and both substitutions are matrix products on
+panels of _SOLVE_BLOCK columns, and besides the factor they hold only the
+inverses of its diagonal blocks.  Correlations and the fit's convolution
+take short FFTs of record segments, never of the whole record
 (overlap-save; Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd
 ed., sec. 8.7); no lag wraps in a segment, so each partial sum and their
 total are exact.  Segments are transformed _SEGMENT_GROUP at a time, and the
-record's rows are read in place, so besides the Gram and its factor the
-regression's working memory does not grow with the record: at 1e5 samples
-it holds no copy of a signal and no full-length fit.
+record's rows are read in place, so besides the Gram, which its factor
+overwrites, the regression's working memory does not grow with the record:
+at 1e5 samples it holds no copy of a signal and no full-length fit.
 """
 
 from __future__ import annotations
@@ -57,7 +60,9 @@ CONDITION_LIMIT = 1e10
 #: regressor's condition and is formed only to about 1e-15 relative, so an
 #: exactly singular Gram can factor with estimates as low as 1e14.
 GRAM_CONDITION_LIMIT = 1e10
-#: Rows per diagonal block of the T-entry solve's triangular substitutions.
+#: Columns per panel of the T-entry Gram's blocked Cholesky factor; it sets
+#: both the factor's products and the diagonal blocks whose inverses the
+#: triangular substitutions multiply by.
 _SOLVE_BLOCK = 64
 #: Overlap-save segments whose spectra the T-entry regression holds at a
 #: time, so that its working memory does not grow with the record.
@@ -230,28 +235,59 @@ def _normal_equations(r, w, P: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
     head = np.stack([row[:P][::-1] for row in r])  # r_c[P-1-l], l < P
     tail = np.stack([row[N - P:][::-1] for row in r])  # r_c[N-1-l]
+    # one lag's block row is formed in `step`, apart from the Gram, so that
+    # no operation reads and writes overlapping views (which numpy would copy)
+    step, leaving = np.empty((2, C, C, P))
     for lag in range(P):
-        step = (np.multiply.outer(head[:, lag], head)
-                - np.multiply.outer(tail[:, lag], tail))
-        np.add(gram[:, lag, :, :-1], step, out=gram[:, lag + 1, :, 1:])
+        np.multiply.outer(head[:, lag], head, out=step)
+        np.multiply.outer(tail[:, lag], tail, out=leaving)
+        step -= leaving
+        step += gram[:, lag, :, :-1]
+        gram[:, lag + 1, :, 1:] = step
     n_params = C * (P + 1)
     rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
     return gram.reshape(n_params, n_params), rhs, (F, B, groups)
 
 
-def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs, L = chol lower triangular, by blocked forward and
-    back substitution (Golub & Van Loan, Matrix Computations, 4th ed., sec.
-    3.1): small triangular solves on the diagonal blocks and products against
-    rhs's columns elsewhere, O(n^2 m) for m columns; no inverse of L."""
+def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Overwrite the symmetric positive definite gram with its lower Cholesky
+    factor L; return L (gram itself) and the inverses of L's diagonal blocks.
+
+    Left-looking and blocked (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 4.2), panel by panel of _SOLVE_BLOCK columns: one product subtracts
+    the panels already factored, the panel's diagonal block is factored and
+    inverted, and one product with that inverse gives the panel below it.
+    Nearly all the work is in the two products, and no copy of the Gram is
+    made.  Only gram's lower triangle is read.  Raises LinAlgError if a
+    diagonal block is not positive definite.
+    """
+    inverses = []
+    for a in range(0, len(gram), _SOLVE_BLOCK):
+        b = a + _SOLVE_BLOCK
+        gram[a:, a:b] -= gram[a:, :a] @ gram[a:b, :a].T
+        diag = np.linalg.cholesky(gram[a:b, a:b])
+        inverses.append(np.linalg.inv(diag))
+        gram[a:b, a:b] = diag
+        gram[a:b, b:] = 0.0
+        gram[b:, a:b] = gram[b:, a:b] @ inverses[-1].T
+    return gram, inverses
+
+
+def _cholesky_solve(chol: np.ndarray, inverses: list[np.ndarray],
+                    rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs, L = chol, with the inverses of L's diagonal
+    blocks as _cholesky returns them, by blocked forward and back
+    substitution (Golub & Van Loan, sec. 3.1): each diagonal block's system
+    is a product with its inverse, and the rest are products against rhs's
+    columns, O(n^2 m) for m columns."""
     x = np.array(rhs, dtype=float)
-    blocks = [(a, a + _SOLVE_BLOCK) for a in range(0, len(chol), _SOLVE_BLOCK)]
-    for a, b in blocks:  # L y = rhs
-        x[a:b] = np.linalg.solve(chol[a:b, a:b],
-                                 x[a:b] - chol[a:b, :a] @ x[:a])
-    for a, b in reversed(blocks):  # L^T x = y
-        x[a:b] = np.linalg.solve(chol[a:b, a:b].T,
-                                 x[a:b] - chol[b:, a:b].T @ x[b:])
+    blocks = list(enumerate(inverses))
+    for k, inverse in blocks:  # L y = rhs
+        a, b = k * _SOLVE_BLOCK, (k + 1) * _SOLVE_BLOCK
+        x[a:b] = inverse @ (x[a:b] - chol[a:b, :a] @ x[:a])
+    for k, inverse in reversed(blocks):  # L^T x = y
+        a, b = k * _SOLVE_BLOCK, (k + 1) * _SOLVE_BLOCK
+        x[a:b] = inverse.T @ (x[a:b] - chol[b:, a:b].T @ x[b:])
     return x
 
 
@@ -286,11 +322,12 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     The least-squares estimate solves the normal equations, formed from the
     excitations' auto- and cross-correlations and the excitation-to-node
     correlations (see _normal_equations) without building the regressor.
-    The Gram's one Cholesky factor is both the rank check and the solve
-    (_cholesky_solve), and the Gram is released once factored.  The fit
-    scores come from the overlap-save convolution of the excitations'
-    segment spectra with the estimated FIR coefficients, one segment group
-    at a time, summing each row's squared error over the groups.
+    The Gram's one Cholesky factor, blocked and written over the Gram
+    (_cholesky), is both the rank check and the solve (_cholesky_solve), and
+    is released before the fit.  The fit scores come from the overlap-save
+    convolution of the excitations' segment spectra with the estimated FIR
+    coefficients, one segment group at a time, summing each row's squared
+    error over the groups.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -310,19 +347,19 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     r = [record.node_excitation(c) for c in col_nodes]
     w = [record.node_output(m) for m in row_nodes]
     gram, rhs, (F, B, groups) = _normal_equations(r, w, P)
+    gram_diag = np.diag(gram).copy()
     try:
-        chol = np.linalg.cholesky(gram)
-        condition = float(np.max(np.diag(gram) / np.diag(chol) ** 2))
+        chol, inverses = _cholesky(gram)
+        condition = float(np.max(gram_diag / np.diag(chol) ** 2))
     except np.linalg.LinAlgError:
         condition = np.inf
-    del gram
     if not condition <= GRAM_CONDITION_LIMIT:
         raise ValueError(
             f"T-entry regressor is rank-deficient (Gram condition estimate "
             f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
             f"excitations are not sufficiently independent")
-    theta = _cholesky_solve(chol, rhs)
-    del chol
+    theta = _cholesky_solve(chol, inverses, rhs)
+    del gram, chol, inverses
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))

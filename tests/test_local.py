@@ -10,7 +10,7 @@ from netid import (ExcitationSpec, FreqGrid, FreqResponseMatrix, NetworkModel,
                    true_T)
 
 from netid import local
-from netid.local import _cholesky_solve, _normal_equations
+from netid.local import _cholesky, _cholesky_solve, _normal_equations
 
 from conftest import random_rational_network, random_stable_network
 
@@ -76,14 +76,18 @@ class TestEstimateTEntries:
         with pytest.raises(ValueError, match="not excited"):
             estimate_T_entries(record, rows=(2,), cols=(1, 2), fir_order=5)
 
+    # FIR order 5 is 12 parameters, one block of the factor; 100 is 202
+    # parameters, four blocks, so the dependence shows past the first block
     def test_dependent_excitations_rejected(self, two_node_chain):
         rng = np.random.default_rng(0)
         r = np.zeros((2, 400))
         r[0] = rng.standard_normal(400)
         r[1] = r[0]  # perfectly correlated: rank-deficient regressor
         record = simulate_inputs(two_node_chain, r)
-        with pytest.raises(ValueError, match="rank-deficient"):
-            estimate_T_entries(record, rows=(2,), cols=(1, 2), fir_order=5)
+        for P in (5, 100):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                estimate_T_entries(record, rows=(2,), cols=(1, 2),
+                                   fir_order=P)
 
     def test_nearly_dependent_excitations_rejected(self, two_node_chain):
         rng = np.random.default_rng(1)
@@ -91,8 +95,10 @@ class TestEstimateTEntries:
         r[0] = rng.standard_normal(400)
         r[1] = r[0] + 1e-7 * rng.standard_normal(400)
         record = simulate_inputs(two_node_chain, r)
-        with pytest.raises(ValueError, match="rank-deficient"):
-            estimate_T_entries(record, rows=(2,), cols=(1, 2), fir_order=5)
+        for P in (5, 100):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                estimate_T_entries(record, rows=(2,), cols=(1, 2),
+                                   fir_order=P)
 
     def test_fewer_rows_than_parameters_rejected(self, two_node_chain):
         # P < N < P + C (P + 1): fewer regression rows than parameters
@@ -259,22 +265,47 @@ class TestSegmentGroups:
         assert np.array_equal(gram, gram_a) and np.array_equal(rhs, rhs_a)
 
 
+def _spd(rng, n):
+    A = rng.standard_normal((2 * n, n))
+    return A.T @ A + n * np.eye(n)  # SPD, condition below about 6
+
+
 class TestCholeskySolve:
-    """Blocked substitution on the Cholesky factor against a general solve,
-    at sizes around and across the substitution's block boundaries."""
+    """The blocked factor and the substitution on it, against LAPACK's
+    factor and a general solve, at sizes around and across the block
+    boundaries and at the case study's 604 and 755 parameters."""
 
     @pytest.mark.parametrize("m", [1, 6])
     @pytest.mark.parametrize("n", [5, 63, 64, 65, 128, 604])
     def test_matches_general_solve(self, n, m):
         rng = np.random.default_rng(10 * n + m)
-        A = rng.standard_normal((2 * n, n))
-        gram = A.T @ A + n * np.eye(n)  # SPD, condition below about 6
+        gram = _spd(rng, n)
         rhs = rng.standard_normal((n, m))
         kept = rhs.copy()
-        x = _cholesky_solve(np.linalg.cholesky(gram), rhs)
+        x = _cholesky_solve(*_cholesky(gram.copy()), rhs)
         ref = np.linalg.solve(gram, rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 128, 604, 755])
+    def test_factor_matches_lapack(self, n):
+        gram = _spd(np.random.default_rng(n), n)
+        ref = np.linalg.cholesky(gram)
+        chol, inverses = _cholesky(gram.copy())
+        assert np.abs(chol - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert len(inverses) == -(-n // local._SOLVE_BLOCK)
+
+    def test_factor_overwrites_gram(self):
+        gram = _spd(np.random.default_rng(1), 130)
+        chol, _ = _cholesky(gram)
+        assert np.shares_memory(chol, gram)
+
+    def test_not_positive_definite_past_first_block_raises(self):
+        gram = _spd(np.random.default_rng(2), 130)
+        gram[100, 100] = -1.0  # the first 64 x 64 block stays SPD
+        assert np.all(np.linalg.eigvalsh(gram[:64, :64]) > 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(gram)
 
 
 def _exact_T_for_plan(model, plan, n_grid=64):
