@@ -10,8 +10,8 @@ On long_record's targets (perfbench/workloads.py), for each record length:
 simulate
     the case study with every node excited, as the direct half simulates it;
     the peak is the tracemalloc peak above the start less the returned
-    record (w, r and v), so it counts only what simulate holds beside its
-    output.
+    record (w and the excited rows of r, record_mb), so it counts only what
+    simulate holds beside its output.
 estimate_direct
     node 3's direct regression on that record; peak above the record.
 estimate_T_entries
@@ -19,11 +19,16 @@ estimate_T_entries
     (9,8), on a record of the plan's excitations at FIR order 150; peak
     above the record.
 
-Peaks are in MB of 2^20 bytes, as perfbench's peak_rss_mb.  Each layer also
+Peaks are in MB of 2^20 bytes, as perfbench's peak_rss_mb.  tracemalloc
+does not see numpy.linalg's own work buffers, such as the Fortran-order
+copy of the regressor that lstsq makes, so each row also reports rss_mb:
+the peak resident set size (ru_maxrss) of a fresh interpreter that imports
+netid, builds the case study's realization, makes the layer's inputs and
+calls the layer once; so it includes the import, and the estimators' rows
+include the simulate call that makes their record.  Each layer also
 reports its best wall time over --repeat untraced calls.  BLAS is held to
-one thread, as in perfbench.  Standard output gets one JSON
-object with the machine facts (perfbench/facts.py) and one row per layer and
-record length.
+one thread, as in perfbench.  Standard output gets one JSON object with the
+machine facts (perfbench/facts.py) and one row per layer and record length.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -54,6 +61,8 @@ GRID_POINTS = 100
 T_TARGETS = ((3, 4), (9, 8))
 DIRECT_NODE = 3
 SEED = 3
+LAYERS = (("simulate", None), ("estimate_direct", None),
+          *(("estimate_T_entries", t) for t in T_TARGETS))
 
 
 def traced_peak_mb(fn) -> tuple[float, object]:
@@ -77,36 +86,51 @@ def best_ms(fn, repeat: int) -> float:
     return best * 1e3
 
 
-def layer_rows(model, N: int, repeat: int) -> list[dict]:
-    rows = []
-    spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=SEED)
-    peak, record = traced_peak_mb(lambda: simulate(model, spec))
-    held = (record.w.nbytes + record.r.nbytes + record.v.nbytes) / 2**20
-    rows.append({"layer": "simulate", "samples": N,
-                 "peak_above_inputs_mb": round(peak - held, 2),
-                 "record_mb": round(held, 2),
-                 "best_ms": round(best_ms(lambda: simulate(model, spec),
-                                          repeat), 2)})
-    structure = DirectModelStructure.from_model(model, DIRECT_NODE)
-    peak, _ = traced_peak_mb(lambda: estimate_direct(record, structure))
-    rows.append({"layer": "estimate_direct", "samples": N,
-                 "peak_above_inputs_mb": round(peak, 2),
-                 "best_ms": round(best_ms(
-                     lambda: estimate_direct(record, structure), repeat), 2)})
-    del record
-    grid = netid.FreqGrid.uniform(GRID_POINTS)
-    for target in T_TARGETS:
-        plan = plan_experiment_for_model(model, target)
+def layer_call(model, layer: str, N: int, target=None):
+    """Make the layer's inputs and return the call that is measured."""
+    if layer == "estimate_T_entries":
+        plan = plan_experiment_for_model(model, tuple(target))
         rec = simulate(model, ExcitationSpec(plan.excite_set, N=N, seed=SEED))
+        grid = netid.FreqGrid.uniform(GRID_POINTS)
+        return lambda: estimate_T_entries(rec, plan.measure_set,
+                                          plan.excite_set,
+                                          fir_order=FIR_ORDER, grid=grid)
+    spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=SEED)
+    if layer == "simulate":
+        return lambda: simulate(model, spec)
+    record = simulate(model, spec)
+    structure = DirectModelStructure.from_model(model, DIRECT_NODE)
+    return lambda: estimate_direct(record, structure)
 
-        def call():
-            return estimate_T_entries(rec, plan.measure_set, plan.excite_set,
-                                      fir_order=FIR_ORDER, grid=grid)
 
-        peak, _ = traced_peak_mb(call)
-        rows.append({"layer": "estimate_T_entries", "target": list(target),
-                     "samples": N, "peak_above_inputs_mb": round(peak, 2),
-                     "best_ms": round(best_ms(call, repeat), 2)})
+def rss_mb(layer: str, N: int, target=None) -> float:
+    """Peak RSS in MB of a fresh interpreter that makes one layer call."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--rss-probe",
+           layer, "--samples", str(N)]
+    if target is not None:
+        cmd += ["--target", ",".join(map(str, target))]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          timeout=600, check=True)
+    return float(json.loads(done.stdout.splitlines()[-1])["rss_mb"])
+
+
+def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
+    rows = []
+    for layer, target in LAYERS:
+        call = layer_call(model, layer, N, target)
+        peak, out = traced_peak_mb(call)
+        row = {"layer": layer, "samples": N}
+        if target is not None:
+            row["target"] = list(target)
+        if layer == "simulate":
+            held = (out.w.nbytes + out.r.nbytes) / 2**20
+            peak -= held
+            row["record_mb"] = round(held, 2)
+        del out
+        row["peak_above_inputs_mb"] = round(peak, 2)
+        row["rss_mb"] = round(rss[layer, N, target], 2)
+        row["best_ms"] = round(best_ms(call, repeat), 2)
+        rows.append(row)
     return rows
 
 
@@ -115,12 +139,26 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, nargs="+",
                    default=[10_000, 100_000])
     p.add_argument("--repeat", type=int, default=7)
+    p.add_argument("--rss-probe", help=argparse.SUPPRESS)
+    p.add_argument("--target", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     model = netid.build_case_study()
-    layer_rows(model, 2_000, 1)  # lazy set-up, such as the realization
+    if args.rss_probe:
+        target = args.target and tuple(map(int, args.target.split(",")))
+        layer_call(model, args.rss_probe, args.samples[0], target)()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps({"rss_mb": peak}))
+        return 0
+    # Linux carries a parent's peak RSS into its child's ru_maxrss, across
+    # fork and exec, so the probes run while this process holds only its
+    # imports, less than any probe holds.
+    rss = {(layer, N, target): rss_mb(layer, N, target)
+           for N in args.samples for layer, target in LAYERS}
+    for layer, target in LAYERS:  # lazy set-up, such as the realization
+        layer_call(model, layer, 2_000, target)()
     rows = []
     for N in args.samples:
-        rows += layer_rows(model, N, args.repeat)
+        rows += layer_rows(model, N, args.repeat, rss)
         for row in rows[-4:]:
             print(json.dumps(row), file=sys.stderr, flush=True)
     print(json.dumps({"machine": machine_facts(ROOT, 1, 1), "repeat":

@@ -108,7 +108,7 @@ def build_regressor(record: SignalRecord,
             cols.append(wk[maxd - d:N - d])
     Phi = np.stack(cols, axis=1) if cols else np.zeros((rows, 0))
     j = structure.target_node
-    y = (record.node_output(j) - record.node_excitation(j))[maxd:]
+    y = record.node_output(j)[maxd:] - record.node_excitation(j)[maxd:]
     return Phi, y
 
 

@@ -1,6 +1,6 @@
 """Simulation kernel: the network recursion, lifted into block GEMMs.
 
-Realization (L nodes, u = r + v of shape (L, N)): an edge i -> j with
+Realization (L nodes, input u = r + v of shape (L, N)): an edge i -> j with
 transfer function B/A in q^-1, A = 1 + a_1 q^-1 + ..., gives
 y(t) = b0 w_i(t) + s(t), with s = sum_k (b_k - b0 a_k) q^-k / A applied to
 w_i.  Node equations w = sum_in y + u give (I - D0) w = c + u, with D0 the
@@ -22,12 +22,13 @@ w = M (c + u), M = (I - D0)^-1, into x(t+1) = Ax x + Bx w, c = Cx x gives
 
 Chunked, lifted recursion: the record is cut into ceil(N / _CHUNK) chunks
 whose lengths differ by at most one sample, each walked in turn from the
-state the one before left (zero for the first).  u = r + v is formed one
-chunk at a time in w's array, and w = C x + D u overwrites it there, in
-products of _OUT_BLOCK samples.  A chunk of Nc samples from sample s is cut
-into P = ceil(Nc/K) blocks of K = isqrt(Nc) samples; chunk and block lengths
-are functions of N alone, so bits depend on nothing but the record.  With
-S_m = x(s + mK) the state at block m's first sample:
+state the one before left (zero for the first).  Once a chunk's states are
+known, w = C x + D u overwrites the chunk's u in place, in products of
+_OUT_BLOCK samples; later chunks' u is still untouched.  A chunk of Nc
+samples from sample s is cut into P = ceil(Nc/K) blocks of K = isqrt(Nc)
+samples; chunk and block lengths are functions of N alone, so bits depend on
+nothing but the record.  With S_m = x(s + mK) the state at block m's first
+sample:
   1. block ends E_m = sum_{i<K} A^(K-1-i) B u(s + mK + i), for all blocks
      in one batched product: H[l, i] = (A^(K-1-i) B)^T[l] (H's powers by
      doubling), node l's input in the blocks is a (P-1, K) view of u, and
@@ -44,7 +45,7 @@ not O(N): one (P K, n) state array that every chunk reuses, H and the
 (L, _OUT_BLOCK) terms of w, 3.8 MiB on the case study at 1e4 samples and at
 1e5 (tracemalloc), H's 0.5 MiB of it.
 
-Only the states reachable from the nodes where r or v is ever nonzero are
+Only the states reachable from the nodes where u is ever nonzero are
 stepped (the closure of those columns of B under A's nonzero pattern).  The
 others stay exactly zero, so this changes nothing where the input reaches
 every state, as under simulate, whose noise drives every node; and an
@@ -105,12 +106,13 @@ def _realize(model):
     return Ax + B @ Cx, B, M @ Cx, M
 
 
-def sim_loop_numpy(A, B, C, D, r, v):
+def sim_loop_numpy(A, B, C, D, u):
     """The documented recursion x(t) = A x(t-1) + B u(t-1),
-    w(t) = C x(t) + D u(t), u = r + v, evaluated chunk by chunk in the lifted
-    form of the module docstring.  r and v are left untouched."""
-    L, N = r.shape
-    excited = r.any(axis=1) | v.any(axis=1)
+    w(t) = C x(t) + D u(t), evaluated chunk by chunk in the lifted form of
+    the module docstring.  u, a C-contiguous (L, N) float array, is
+    overwritten with w, which is returned as (w, bad)."""
+    L, N = u.shape
+    excited = u.any(axis=1)
     reach = (B[:, excited] != 0).any(axis=1)
     grown = reach | (A[:, reach] != 0).any(axis=1)
     while not (grown == reach).all():   # close under A's nonzero pattern
@@ -119,7 +121,7 @@ def sim_loop_numpy(A, B, C, D, r, v):
         A, B, C = A[np.ix_(reach, reach)], B[reach], C[:, reach]
     n = A.shape[0]
     AT, BT = A.T, B.T
-    w = np.empty((L, N))
+    w = u                               # written over u, chunk by chunk
     x = np.zeros(n)                     # state at the chunk's first sample
     chunks = -(-N // _CHUNK)
     top = -(-N // chunks)               # the first chunk is the longest
@@ -142,7 +144,7 @@ def sim_loop_numpy(A, B, C, D, r, v):
                 H = H.transpose(1, 0, 2)  # H[l, i] = (A^(K-1-i) B)^T[l]
                 AKT = np.linalg.matrix_power(AT, K)
             P = -(-(e - s) // K)
-            u = np.add(r[:, s:e], v[:, s:e], out=w[:, s:e])
+            u = w[:, s:e]
             U = u[:, :(P - 1) * K].reshape(L, P - 1, K)
             E = np.zeros((P - 1, n))    # summed node by node, in place
             for l in range(L):

@@ -201,16 +201,32 @@ class ExcitationSpec:
 
 @dataclass(frozen=True)
 class SignalRecord:
-    """Aligned node-output, excitation and disturbance time series (L x N each)."""
+    """Node outputs w (L x N) and the excitations of the excited nodes.
+
+    excited is the sorted tuple of the nodes whose excitation is kept, and
+    r holds their rows in that order, (len(excited), N).  Every other node's
+    excitation is zero and takes no memory.  The disturbance v is not kept:
+    no estimator reads it.
+    """
 
     w: np.ndarray
     r: np.ndarray
-    v: np.ndarray
+    excited: tuple[int, ...]
     seed: int
 
     def __post_init__(self):
-        if not (self.w.shape == self.r.shape == self.v.shape) or self.w.ndim != 2:
-            raise ValueError("w, r, v must share an (L, N) shape")
+        if self.w.ndim != 2:
+            raise ValueError(f"w must be (L, N), got shape {self.w.shape}")
+        excited = tuple(int(n) for n in self.excited)
+        if list(excited) != sorted(set(excited)):
+            raise ValueError(f"excited nodes {excited} must be sorted and "
+                             f"distinct")
+        for n in excited:
+            _check_node(n, self.L)
+        if self.r.shape != (len(excited), self.N):
+            raise ValueError(f"r must be ({len(excited)}, {self.N}), one row "
+                             f"per excited node, got shape {self.r.shape}")
+        object.__setattr__(self, "excited", excited)
 
     @property
     def L(self) -> int:
@@ -225,8 +241,12 @@ class SignalRecord:
         return self.w[j - 1]
 
     def node_excitation(self, i: int) -> np.ndarray:
+        """Node i's excitation; for an unexcited node, a read-only row of
+        zeros that uses no memory."""
         _check_node(i, self.L)
-        return self.r[i - 1]
+        if i in self.excited:
+            return self.r[self.excited.index(i)]
+        return np.broadcast_to(0.0, (self.N,))
 
 
 # -- network file format --------------------------------------------------------

@@ -7,12 +7,17 @@ generator), which numpy keeps stable across releases.  The draw order is
 fixed and documented so that records are reproducible bit-for-bit:
 
 1. ``r_full = rng.standard_normal((L, N)) * sqrt(r_variance)`` - excitation
-   for every node, after which rows of nodes outside ``excited_nodes`` are
-   zeroed.  Drawing all L rows first means a node's excitation realization
-   does not depend on which other nodes are excited, so records with nested
-   excitation sets and one seed are directly comparable.
+   for every node; only the rows of ``excited_nodes`` are kept, and every
+   other node's excitation is zero.  Drawing all L rows first means a
+   node's excitation realization does not depend on which other nodes are
+   excited, so records with nested excitation sets and one seed are
+   directly comparable.
 2. ``v = rng.standard_normal((L, N)) * sqrt(v_variance)`` - disturbance at
    every node.
+
+The draws are made one row at a time, which yields the same numbers as one
+(L, N) draw.  The record stores w and the excited rows of r; v goes into w's
+array as the simulated input r + v and is overwritten there.
 
 Identical (model, spec) therefore yields a bit-identical SignalRecord.
 """
@@ -34,11 +39,21 @@ class SimulationDiverged(RuntimeError):
         self.sample = sample
 
 
+def _record(model: NetworkModel, u: np.ndarray, r: np.ndarray,
+            excited: tuple[int, ...], seed: int) -> SignalRecord:
+    """Step the kernel on the input u = r + v, which it overwrites with w."""
+    w, bad = sim_loop_numpy(*model.realization, u)
+    if bad >= 0:
+        raise SimulationDiverged(bad)
+    return SignalRecord(w=w, r=r, excited=excited, seed=seed)
+
+
 def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = None,
                     seed: int | None = None) -> SignalRecord:
     """Simulate with caller-supplied input arrays (both (L, N)).
 
-    Initial conditions are zero.  Raises SimulationDiverged at the first
+    Initial conditions are zero.  The record keeps r as passed, with every
+    node listed as excited.  Raises SimulationDiverged at the first
     non-finite sample.
     """
     r = np.ascontiguousarray(r, dtype=float)
@@ -46,13 +61,15 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
         raise ValueError(f"r must be ({model.L}, N), got {r.shape}")
     if r.shape[1] < 1:
         raise ValueError(f"sample count must be >= 1, got r of shape {r.shape}")
-    v = np.zeros_like(r) if v is None else np.ascontiguousarray(v, dtype=float)
-    if v.shape != r.shape:
-        raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
-    w, bad = sim_loop_numpy(*model.realization, r, v)
-    if bad >= 0:
-        raise SimulationDiverged(bad)
-    return SignalRecord(w=w, r=r, v=v, seed=-1 if seed is None else seed)
+    if v is None:
+        u = r.copy()
+    else:
+        v = np.asarray(v, dtype=float)
+        if v.shape != r.shape:
+            raise ValueError(f"v shape {v.shape} does not match r shape {r.shape}")
+        u = r + v
+    return _record(model, u, r, tuple(range(1, model.L + 1)),
+                   -1 if seed is None else seed)
 
 
 def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
@@ -61,14 +78,18 @@ def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
     for n in spec.excited_nodes:
         if n > model.L:
             raise ValueError(f"excited node {n} outside 1..{model.L}")
-    L, N = model.L, spec.N
+    L, N, excited = model.L, spec.N, spec.excited_nodes
     rng = np.random.default_rng(spec.seed)
-    r = rng.standard_normal((L, N))
+    r = np.empty((len(excited), N))
+    u = np.empty((L, N))
+    kept = dict(zip(excited, r))
+    # an unexcited node's draw lands in its row of u, which v overwrites
+    for node in range(1, L + 1):
+        rng.standard_normal(out=kept.get(node, u[node - 1]))
     r *= np.sqrt(spec.r_variance)
-    mask = np.zeros(L, dtype=bool)
-    for n in spec.excited_nodes:
-        mask[n - 1] = True
-    r[~mask] = 0.0
-    v = rng.standard_normal((L, N))
-    v *= np.sqrt(spec.v_variance)
-    return simulate_inputs(model, r, v, seed=spec.seed)
+    for row in u:
+        rng.standard_normal(out=row)
+    u *= np.sqrt(spec.v_variance)
+    for node, row in kept.items():
+        u[node - 1] += row
+    return _record(model, u, r, excited, spec.seed)

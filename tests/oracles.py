@@ -33,6 +33,21 @@ from netid import NetworkModel, SimulationDiverged, simulate_inputs
 from netid.tf import STABILITY_MARGIN
 
 
+# -- simulator inputs -------------------------------------------------------------
+
+def draw_inputs(L: int, spec) -> tuple[np.ndarray, np.ndarray]:
+    """(r, v), both (L, N), re-drawn from an ExcitationSpec by netid.sim's
+    documented randomness contract: one (L, N) draw of r, whose rows outside
+    the excited nodes are zeroed, then one (L, N) draw of v."""
+    rng = np.random.default_rng(spec.seed)
+    r = rng.standard_normal((L, spec.N)) * np.sqrt(spec.r_variance)
+    unexcited = np.ones(L, dtype=bool)
+    unexcited[np.array(spec.excited_nodes, dtype=int) - 1] = False
+    r[unexcited] = 0.0
+    v = rng.standard_normal((L, spec.N)) * np.sqrt(spec.v_variance)
+    return r, v
+
+
 # -- impulse-response oracles ---------------------------------------------------
 
 def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
                    RationalTF, build_regressor, estimate_direct, simulate)
 from netid.model import SignalRecord
 
+ALL_NODES = tuple(range(1, 21))
+
 
 class TestStructure:
     def test_from_model_case_study_bands(self, case_study):
@@ -64,6 +66,13 @@ class TestRegressor:
         assert np.array_equal(y, (record.node_output(3)
                                   - record.node_excitation(3))[2:])
 
+    def test_unexcited_target(self, case_study):
+        # node 3's excitation is the record's zero-memory row
+        record = simulate(case_study, ExcitationSpec([2, 4], N=500, seed=21))
+        _, y = build_regressor(record,
+                               DirectModelStructure.from_model(case_study, 3))
+        assert np.array_equal(y, record.node_output(3)[2:])
+
     def test_column_layout(self, case_study, record):
         s = DirectModelStructure.from_model(case_study, 3)
         Phi, _ = build_regressor(record, s)
@@ -85,7 +94,7 @@ class TestRegressor:
     def test_too_short_record_rejected(self, case_study):
         s = DirectModelStructure.from_model(case_study, 3)
         w = np.zeros((20, 2))
-        rec = SignalRecord(w=w, r=w, v=w, seed=0)
+        rec = SignalRecord(w=w, r=w, excited=ALL_NODES, seed=0)
         with pytest.raises(ValueError, match="too short"):
             build_regressor(rec, s)
 
@@ -114,7 +123,7 @@ class TestEstimate:
 
     def test_zero_signals_give_min_norm_solution_and_flag(self, case_study):
         w = np.zeros((20, 100))
-        rec = SignalRecord(w=w, r=w, v=w, seed=0)
+        rec = SignalRecord(w=w, r=w, excited=ALL_NODES, seed=0)
         s = DirectModelStructure.from_model(case_study, 3)
         est = estimate_direct(rec, s)
         assert not est.informative
@@ -125,7 +134,7 @@ class TestEstimate:
         # 3 regressor rows for 7 parameters: the Gram matrix is singular,
         # though lstsq returns only the 3 nonzero singular values of Phi
         w = np.random.default_rng(0).standard_normal((20, 5))
-        rec = SignalRecord(w=w, r=np.zeros_like(w), v=np.zeros_like(w),
+        rec = SignalRecord(w=w, r=np.zeros_like(w), excited=ALL_NODES,
                            seed=0)
         est = estimate_direct(rec, DirectModelStructure.from_model(
             case_study, 3))

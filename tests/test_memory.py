@@ -1,7 +1,12 @@
 """Working memory of the record-length path: at 10^5 samples, simulate and
-the T-entry regression hold no temporary the length of the record."""
+the T-entry regression hold no temporary the length of the record, and a
+record holds w and only the excited rows of r."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import pytest
 from netid import (ExcitationSpec, estimate_T_entries,
                    plan_experiment_for_model, simulate)
 
+ROOT = Path(__file__).resolve().parent.parent
 N = 100_000
 LIMIT = 12 * 2**20  # bytes; a (N, 35) state array alone is 26.7 MiB
 
@@ -34,7 +40,7 @@ def realized(case_study):
 def test_simulate_holds_little_beside_its_record(realized):
     spec = ExcitationSpec(range(1, realized.L + 1), N=N, seed=1)
     rec, peak = traced_peak(lambda: simulate(realized, spec))
-    held = rec.w.nbytes + rec.r.nbytes + rec.v.nbytes
+    held = rec.w.nbytes + rec.r.nbytes
     assert peak - held <= LIMIT
 
 
@@ -45,3 +51,28 @@ def test_t_entries_hold_little_beside_the_record(realized):
         rec, plan.measure_set, plan.excite_set))
     assert np.all(np.array(est.fit_scores) > 0.99)
     assert peak <= LIMIT
+
+
+def test_local_record_holds_w_and_the_excited_rows(realized):
+    plan = plan_experiment_for_model(realized, (3, 4))
+    assert len(plan.excite_set) == 4
+    rec = simulate(realized, ExcitationSpec(plan.excite_set, N=N, seed=2))
+    assert rec.w.nbytes + rec.r.nbytes <= (realized.L + 4) * N * 8
+
+
+def test_memory_script_runs():
+    # the script reads record attributes that no import check covers
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "memory.py"),
+         "--samples", "2000", "--repeat", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = json.loads(done.stdout)["rows"]
+    assert [(r["layer"], r.get("target")) for r in rows] == [
+        ("simulate", None), ("estimate_direct", None),
+        ("estimate_T_entries", [3, 4]), ("estimate_T_entries", [9, 8])]
+    assert rows[0]["record_mb"] == round(40 * 2000 * 8 / 2**20, 2)
+    for row in rows:
+        assert row["samples"] == 2000
+        assert row["rss_mb"] > 0 and row["best_ms"] > 0
+        assert row["peak_above_inputs_mb"] >= 0

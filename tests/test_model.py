@@ -207,21 +207,49 @@ class TestExcitationSpec:
 class TestSignalRecord:
     def test_shape_validation(self):
         w = np.zeros((2, 5))
-        with pytest.raises(ValueError):
-            SignalRecord(w=w, r=np.zeros((2, 4)), v=np.zeros((2, 5)), seed=0)
+        for r, excited in ((np.zeros((2, 4)), (1, 2)),   # N does not match
+                           (np.zeros((1, 5)), (1, 2)),   # one row short
+                           (np.zeros((2, 5)), (2,)),     # one row over
+                           (np.zeros(5), (1,))):
+            with pytest.raises(ValueError, match="r must be"):
+                SignalRecord(w=w, r=r, excited=excited, seed=0)
+
+    def test_excited_nodes_validation(self):
+        w = np.zeros((2, 5))
+        for excited in ((2, 1), (1, 1)):
+            with pytest.raises(ValueError, match="sorted and distinct"):
+                SignalRecord(w=w, r=np.zeros((2, 5)), excited=excited,
+                             seed=0)
+        with pytest.raises(ValueError, match="node 3 outside 1..2"):
+            SignalRecord(w=w, r=np.zeros((1, 5)), excited=(3,), seed=0)
 
     def test_node_accessors(self):
         w = np.arange(10.0).reshape(2, 5)
-        rec = SignalRecord(w=w, r=w * 2, v=w * 0, seed=1)
+        rec = SignalRecord(w=w, r=w * 2, excited=(1, 2), seed=1)
         assert np.array_equal(rec.node_output(2), w[1])
         assert np.array_equal(rec.node_excitation(1), w[0] * 2)
         assert rec.L == 2 and rec.N == 5
 
+    def test_unexcited_node_reads_zeros_and_is_read_only(self):
+        w = np.arange(15.0).reshape(3, 5)
+        rec = SignalRecord(w=w, r=w[1:2] * 2, excited=(2,), seed=1)
+        assert rec.r.shape == (len(rec.excited), rec.N) == (1, 5)
+        assert np.array_equal(rec.node_excitation(2), w[1] * 2)
+        for n in (1, 3):
+            row = rec.node_excitation(n)
+            assert row.shape == (5,) and np.all(row == 0.0)
+            assert row.strides == (0,)  # every sample is one scalar
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
     def test_node_outside_1_to_L_rejected(self):
         w = np.arange(10.0).reshape(2, 5)
-        rec = SignalRecord(w=w, r=w * 2, v=w * 0, seed=1)
-        for n in (0, 3):
-            with pytest.raises(ValueError, match=f"node {n} outside 1..2"):
-                rec.node_output(n)
-            with pytest.raises(ValueError, match=f"node {n} outside 1..2"):
-                rec.node_excitation(n)
+        for rec in (SignalRecord(w=w, r=w * 2, excited=(1, 2), seed=1),
+                    SignalRecord(w=w, r=w[:1], excited=(1,), seed=1)):
+            for n in (0, 3):
+                with pytest.raises(ValueError,
+                                   match=f"node {n} outside 1..2"):
+                    rec.node_output(n)
+                with pytest.raises(ValueError,
+                                   match=f"node {n} outside 1..2"):
+                    rec.node_excitation(n)

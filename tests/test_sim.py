@@ -9,7 +9,7 @@ from netid import (ExcitationSpec, NetworkModel, RationalTF,
 from netid import kernels
 
 from conftest import make_two_node_loop, random_rational_network
-from oracles import impulse_response, true_T_impulse
+from oracles import draw_inputs, impulse_response, true_T_impulse
 
 
 def pack_model(model: NetworkModel):
@@ -115,6 +115,13 @@ class TestKernelBasics:
         rec = simulate_inputs(m, r)
         assert np.allclose(rec.w[1], [0.0, 0.3, 0.15, 0.075, 0.0375])
 
+    def test_kernel_writes_w_over_its_input(self, two_node_chain):
+        u = np.zeros((2, 6))
+        u[0, 0] = 1.0
+        w, bad = kernels.sim_loop_numpy(*two_node_chain.realization, u)
+        assert bad == -1 and w is u
+        assert np.array_equal(w[1], [0, 1, 0, 0, 0, 0.0])
+
     def test_input_shape_validation(self, two_node_chain):
         with pytest.raises(ValueError, match="must be"):
             simulate_inputs(two_node_chain, np.zeros((3, 4)))
@@ -142,7 +149,8 @@ class TestKernel:
         for model in models:
             spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=42)
             rec = simulate(model, spec)
-            w_ref, bad = _sim_loop_py(*pack_model(model), rec.r + rec.v)
+            r, v = draw_inputs(model.L, spec)
+            w_ref, bad = _sim_loop_py(*pack_model(model), r + v)
             assert bad == -1
             assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
@@ -159,8 +167,10 @@ class TestKernel:
                              (1, 3): RationalTF([0.0, 0.1]),
                              (4, 3): RationalTF([0.0, 0.4], [1.0, -0.5])})
         assert m.realization[0].shape == (7, 7)
-        rec = simulate(m, ExcitationSpec(range(1, 6), N=N, seed=N))
-        w_ref, bad = _sim_loop_py(*pack_model(m), rec.r + rec.v)
+        spec = ExcitationSpec(range(1, 6), N=N, seed=N)
+        rec = simulate(m, spec)
+        r, v = draw_inputs(m.L, spec)
+        w_ref, bad = _sim_loop_py(*pack_model(m), r + v)
         assert bad == -1
         assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
@@ -189,7 +199,7 @@ class TestKernel:
         rec2 = simulate(case_study, spec)
         assert np.array_equal(rec1.w, rec2.w)
         assert np.array_equal(rec1.r, rec2.r)
-        assert np.array_equal(rec1.v, rec2.v)
+        assert rec1.excited == rec2.excited == (3, 4, 5)
 
 
 @pytest.fixture
@@ -213,7 +223,8 @@ class TestChunks:
         for model in models:
             spec = ExcitationSpec(range(1, model.L + 1), N=N, seed=42)
             rec = simulate(model, spec)
-            w_ref, bad = _sim_loop_py(*pack_model(model), rec.r + rec.v)
+            r, v = draw_inputs(model.L, spec)
+            w_ref, bad = _sim_loop_py(*pack_model(model), r + v)
             assert bad == -1
             assert np.allclose(rec.w, w_ref, rtol=0, atol=1e-12)
 
@@ -247,14 +258,20 @@ class TestChunks:
         assert not rec.w[2:].any()
 
     def test_inputs_untouched(self, case_study):
-        rec = simulate(case_study, ExcitationSpec([3, 4], N=120, seed=2))
-        r, v = rec.r.copy(), rec.v.copy()
-        simulate_inputs(case_study, rec.r, rec.v)
-        assert np.array_equal(rec.r, r) and np.array_equal(rec.v, v)
+        r, v = draw_inputs(case_study.L,
+                           ExcitationSpec([3, 4], N=120, seed=2))
+        r0, v0 = r.copy(), v.copy()
+        simulate_inputs(case_study, r, v)
+        assert np.array_equal(r, r0) and np.array_equal(v, v0)
+        rec = simulate_inputs(case_study, r)
+        assert np.array_equal(r, r0)
+        assert rec.r is r and rec.excited == tuple(range(1, 21))
 
 
 class TestRandomnessContract:
     def test_documented_draw_order(self, case_study):
+        # v is not kept in the record: it is pinned through w, which must
+        # equal bit for bit the simulation of the documented r and v
         spec = ExcitationSpec([3, 4], N=50, seed=123, r_variance=2.0,
                               v_variance=0.5)
         rec = simulate(case_study, spec)
@@ -263,19 +280,30 @@ class TestRandomnessContract:
         v = rng.standard_normal((20, 50)) * np.sqrt(0.5)
         expect_r = np.zeros_like(r_full)
         expect_r[[2, 3]] = r_full[[2, 3]]
-        assert np.array_equal(rec.r, expect_r)
-        assert np.array_equal(rec.v, v)
+        assert rec.excited == (3, 4)
+        assert np.array_equal(rec.r, r_full[[2, 3]])
+        for i in range(1, 21):
+            assert np.array_equal(rec.node_excitation(i), expect_r[i - 1])
+        assert np.array_equal(simulate_inputs(case_study, expect_r, v).w,
+                              rec.w)
 
     def test_excitation_realization_independent_of_excited_set(self, case_study):
-        a = simulate(case_study, ExcitationSpec([3], N=40, seed=9))
-        b = simulate(case_study, ExcitationSpec([3, 4, 5], N=40, seed=9))
+        spec_a = ExcitationSpec([3], N=40, seed=9)
+        spec_b = ExcitationSpec([3, 4, 5], N=40, seed=9)
+        a = simulate(case_study, spec_a)
+        b = simulate(case_study, spec_b)
         assert np.array_equal(a.node_excitation(3), b.node_excitation(3))
-        assert np.array_equal(a.v, b.v)
+        # a's disturbance is b's: a's w is the simulation of a's r and b's v
+        r_a, _ = draw_inputs(case_study.L, spec_a)
+        _, v_b = draw_inputs(case_study.L, spec_b)
+        assert np.array_equal(simulate_inputs(case_study, r_a, v_b).w, a.w)
 
     def test_unexcited_rows_zero(self, case_study):
         rec = simulate(case_study, ExcitationSpec([3], N=30, seed=1))
-        assert np.all(rec.r[[0, 1, 4]] == 0.0)
-        assert np.any(rec.r[2] != 0.0)
+        assert rec.r.shape == (1, 30)
+        for i in (1, 2, 4, 5, 20):
+            assert np.all(rec.node_excitation(i) == 0.0)
+        assert np.any(rec.node_excitation(3) != 0.0)
 
     def test_excited_node_out_of_range(self, two_node_chain):
         with pytest.raises(ValueError, match="excited node"):
