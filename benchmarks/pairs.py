@@ -13,11 +13,10 @@ the parent first on odd pairs and this checkout first on even ones, so drift
 on a shared machine falls on both sides alike.  Progress goes to standard error;
 standard output gets one JSON object with, per end-to-end metric of
 BENCHMARK.json, both sides' values, medians and quartiles, the pairs the
-change won (ties count for neither side) and whether that is a gain: at
-least nine tenths of the pairs won, and the medians further apart than the
-parent's quartiles.  The machine facts are those perfbench/facts.py reported
-in each tree's first run.  The exit code is 1 if any run failed its output
-checks.
+change won (ties count for neither side) and three verdicts (see
+compare): gain, worse than the metric's bound, and unresolved within it.
+The machine facts are those perfbench/facts.py reported in each tree's
+first run.  The exit code is 1 if any run failed its output checks.
 """
 
 from __future__ import annotations
@@ -68,14 +67,27 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float) -> dict:
+    """One metric's pairs.  gain: the change won at least nine tenths of the
+    pairs and the medians are further apart than the parent's quartiles.
+    worse: the change's median is worse than the parent's by more than
+    `bound`, a fraction of the parent's median.  unresolved: the parent's
+    quartiles are further apart than that bound, and not every change run
+    beats every parent run, so the pairs cannot show the change within it.
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     out = {"parent": summary(parent), "change": summary(change),
-           "better": better, "wins": wins, "pairs": len(parent)}
+           "better": better, "bound": bound, "wins": wins,
+           "pairs": len(parent)}
     gap = sign * (out["change"]["median"] - out["parent"]["median"])
     spread = out["parent"]["q3"] - out["parent"]["q1"]
+    allowed = bound * abs(out["parent"]["median"])
     out["gain"] = wins >= 0.9 * len(parent) and gap > spread
+    out["worse"] = -gap > allowed
+    out["unresolved"] = spread > allowed and not (
+        min(sign * c for c in change) > max(sign * p for p in parent))
     return out
 
 
@@ -121,7 +133,7 @@ def main(argv=None) -> int:
         m["name"]: compare(
             [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
             [r["metrics"][m["name"]]["value"] for r in runs["change"]],
-            m["better"])
+            m["better"], m["bound"])
         for m in spec["end_to_end"]}
     print(json.dumps({
         "workload": args.workload, "pairs": args.pairs,

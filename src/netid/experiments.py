@@ -11,7 +11,10 @@ Runs execute on a thread pool that returns them in run order, so
 concurrency never affects output.  Threads overlap a run's noise draws and
 FFT and BLAS work, and its simulation kernel only in part: 1.3-1.5x on two
 threads against 1.5-2.0x for simulate with its draws (2-vCPU host, BLAS at
-one thread; see kernels).
+one thread; see kernels).  While the pool runs, OpenBLAS is held at one
+thread (netid.blas), so that the pool's threads are the compute threads.
+A single local run on the main thread factors its T-entry Gram on a second
+thread (see run_local_pipeline), with bit-identical results.
 """
 
 from __future__ import annotations
@@ -20,15 +23,19 @@ import csv
 import html
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .direct import DirectEstimate, DirectModelStructure, estimate_direct
 from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
-                    check_record_length, estimate_T_entries, fit_parametric,
+                    check_record_length, estimate_T_entries,
+                    factor_excitation_gram, fit_parametric,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
 from .iomap import is_internally_stable, true_T
@@ -359,7 +366,8 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
         a1, a2 = ([float(c) for c in coeffs[:2]] + [math.nan] * 2)[:2]
         return RunResult(run=k, a1=a1, a2=a2, informative=informative)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with one_blas_thread(), \
+            ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         results = tuple(pool.map(one_run, range(n_runs)))
     mean, std, rate = summarize(results)
     return ScenarioResult(
@@ -392,6 +400,25 @@ def _fit_grid(points: int, band: tuple[int, int]) -> FreqGrid:
     return FreqGrid.uniform(points)
 
 
+@contextmanager
+def _excitation_side(fir_order: int):
+    """(hook, factor) for simulate and estimate_T_entries that run
+    factor_excitation_gram on a helper thread, with OpenBLAS held at one
+    thread; on exit the helper has ended.  Off the main thread both are
+    None: runs on a pool already fill the cores."""
+    if threading.current_thread() is not threading.main_thread():
+        yield None, None
+        return
+    started = []
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as helper:
+        def hook(r):
+            started.append(helper.submit(factor_excitation_gram, r,
+                                         fir_order))
+
+        # pop, so that the factor is not kept past estimate_T_entries' use
+        yield hook, lambda: started.pop().result()
+
+
 def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
                        samples: int = 10_000, seed: int = 0,
                        fir_order: int = DEFAULT_FIR_ORDER,
@@ -406,6 +433,15 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     target module's band coefficients to the solved samples.  Any stage
     error is re-raised with the stage name prefixed; a grid smaller than the
     band, or a record too short for the regression, fails at plan.
+
+    Called on the main thread, the run factors the T-entry Gram on a helper
+    thread, started by simulate's on_excitation hook after step 1 of the
+    randomness contract (r drawn and scaled) and before step 2 (v), and
+    joined by estimate_T_entries' factor argument once the main thread has
+    stepped the network and formed Phi^T w.  Checks, errors and stage
+    labels come in the same order as in series, and the helper has ended
+    when the call returns or raises.  On other threads, such as
+    run_monte_carlo's pool, the factor is formed in line.
 
     With exact_T=True the simulation and estimation stages are bypassed and
     the solve runs on exact samples of T (an oracle path used to validate
@@ -425,9 +461,12 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
                len(plan.excite_set))
         spec = ExcitationSpec(plan.excite_set, N=samples, seed=seed,
                               r_variance=r_var, v_variance=v_var)
-        record = _stage("simulate", simulate, model, spec)
-        est = _stage("estimate", estimate_T_entries, record, plan.measure_set,
-                     plan.excite_set, fir_order=fir_order, grid=grid)
+        with _excitation_side(fir_order) as (hook, factor):
+            record = _stage("simulate", simulate, model, spec,
+                            on_excitation=hook)
+            est = _stage("estimate", estimate_T_entries, record,
+                         plan.measure_set, plan.excite_set,
+                         fir_order=fir_order, grid=grid, factor=factor)
         tmat = est.freq
         fit_scores = est.entry_fit_scores()
 

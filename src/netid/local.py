@@ -23,7 +23,10 @@ coefficients by linear least squares.
 The FIR regression never builds its regressor: its normal equations are
 formed from FFT auto- and cross-correlations of the excitations and nodes,
 with exact window end-corrections, and one Cholesky factorization of the
-Gram serves both its rank check and the solve.  The factor is blocked and
+Gram serves both its rank check and the solve.  The Gram and its factor
+depend on the excitations alone, not on the node outputs
+(factor_excitation_gram), so they can be formed while the network is
+still being simulated.  The factor is blocked and
 overwrites the Gram: it and both substitutions are matrix products on
 panels of _SOLVE_BLOCK columns, and besides the factor they hold only the
 inverses of its diagonal blocks.  Correlations and the fit's convolution
@@ -39,7 +42,7 @@ at 1e5 samples it holds no copy of a signal and no full-length fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -189,50 +192,67 @@ def _segment_spectra(rows, start: int, count: int, length: int, step: int,
     return np.fft.rfft(sliding_window_view(seg, length, axis=1)[:, ::step], F)
 
 
-def _normal_equations(r, w, P: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Normal equations of the FIR regression of w on lags 0..P of r.
+def _segmentation(N: int, P: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Overlap-save segmentation (F, B, groups) of the window t = P..N-1:
+    S segments of B = F - P samples, F = 2048 or, for P > 1023, the next
+    power of two >= 2(P + 1), in groups of _SEGMENT_GROUP segments, each
+    group listed by its first segment and segment count."""
+    F = max(2048, 1 << (2 * P + 1).bit_length())
+    B = F - P
+    S = -(-(N - P) // B)
+    return F, B, [(a, min(_SEGMENT_GROUP, S - a))
+                  for a in range(0, S, _SEGMENT_GROUP)]
 
-    r is C excitation rows, w is M output rows, each of N samples (2-D
-    arrays or sequences of 1-D rows, which are read, not copied).  The
-    regressor Phi has one row per sample t = P..N-1 and one column
-    r_c[t - l] per excitation c and lag l (c major), but is never built.
-    Returns the Gram Phi^T Phi, the right-hand side Phi^T Y (a column per
-    output) and the segmentation (F, B, groups) below, groups listing each
-    segment group's first segment and segment count.
 
-    Phi^T Y and the first block row of the Gram are windowed correlations,
-    sum over t = P..N-1 of x[t] r_c[t - l], for x a row of r or w.  The
-    window is cut into S segments of B = F - P samples, F = 2048 or, for
-    P > 1023, the next power of two >= 2(P + 1).
-    Segment s pairs x[P + sB : P + sB + B] (zero-padded past N) with
+def _correlations(x, r, P: int) -> np.ndarray:
+    """Windowed correlations, shape (len(x), C, P + 1): entry [k, c, l] is
+    the sum over t = P..N-1 of x_k[t] r_c[t - l].
+
+    x and r are rows of N samples (2-D arrays or sequences of 1-D rows,
+    which are read, not copied), r the C excitations.  Segment s of
+    _segmentation pairs x[P + sB : P + sB + B] (zero-padded past N) with
     r_c[sB : sB + F] in length-F real FFTs; lag l of their circular
     correlation sits at index P - l, and P + B = F, so no lag wraps and the
     segment's correlation is exact.  The window's is their sum, taken over
     the spectra before one inverse FFT per (row, excitation); the spectra
-    of _SEGMENT_GROUP segments are formed at a time, and the groups' sums
-    added.  Every other Gram entry follows from the one above-left by the
-    exact window end-correction
+    of one segment group are formed at a time, and the groups' sums added.
+    """
+    F, B, groups = _segmentation(len(r[0]), P)
+    for a, g in groups:
+        R = _segment_spectra(r, a * B, g, F, B, F)
+        X = _segment_spectra(x, P + a * B, g, B, B, F)
+        part = np.matmul(X.conj().transpose(2, 0, 1), R.transpose(2, 1, 0))
+        cross = part if a == 0 else cross + part
+    return np.fft.irfft(cross.transpose(1, 2, 0), F)[..., P::-1]
+
+
+def _rhs(r, w, P: int) -> np.ndarray:
+    """Right-hand side Phi^T Y of the FIR regression of the M rows w on
+    lags 0..P of the C rows r, shape (C (P + 1), M), with Phi as in _gram:
+    the windowed correlations of w with r (_correlations)."""
+    return _correlations(w, r, P).transpose(1, 2, 0).reshape(
+        len(r) * (P + 1), len(w))
+
+
+def _gram(r, P: int) -> np.ndarray:
+    """Gram Phi^T Phi of the FIR regression on lags 0..P of the C excitation
+    rows r, each of N samples.
+
+    The regressor Phi has one row per sample t = P..N-1 and one column
+    r_c[t - l] per excitation c and lag l (c major), but is never built.
+    The Gram's first block row is the windowed correlations of r with
+    itself (_correlations).  Every other entry follows from the one
+    above-left by the exact window end-correction
         G[l+1, l'+1] = G[l, l'] + r_c[P-1-l] r_c'[P-1-l']
                                 - r_c[N-1-l] r_c'[N-1-l'],
     the sample pair entering the window minus the pair leaving it, so the
     result equals Phi^T Phi, not a circular approximation of it.
     """
     C, N = len(r), len(r[0])
-    F = max(2048, 1 << (2 * P + 1).bit_length())
-    B = F - P
-    S = -(-(N - P) // B)
-    groups = [(a, min(_SEGMENT_GROUP, S - a))
-              for a in range(0, S, _SEGMENT_GROUP)]
-    x = [*r, *w]
-    for a, g in groups:
-        R = _segment_spectra(r, a * B, g, F, B, F)
-        X = _segment_spectra(x, P + a * B, g, B, B, F)
-        part = np.matmul(X.conj().transpose(2, 0, 1), R.transpose(2, 1, 0))
-        cross = part if a == 0 else cross + part
-    xc = np.fft.irfft(cross.transpose(1, 2, 0), F)[..., P::-1]
+    xc = _correlations(r, r, P)
     gram = np.empty((C, P + 1, C, P + 1))
-    gram[:, 0] = xc[:C]
-    gram[:, :, :, 0] = xc[:C].transpose(1, 2, 0)
+    gram[:, 0] = xc
+    gram[:, :, :, 0] = xc.transpose(1, 2, 0)
     head = np.stack([row[:P][::-1] for row in r])  # r_c[P-1-l], l < P
     tail = np.stack([row[N - P:][::-1] for row in r])  # r_c[N-1-l]
     # one lag's block row is formed in `step`, apart from the Gram, so that
@@ -245,8 +265,7 @@ def _normal_equations(r, w, P: int) -> tuple[np.ndarray, np.ndarray, tuple]:
         step += gram[:, lag, :, :-1]
         gram[:, lag + 1, :, 1:] = step
     n_params = C * (P + 1)
-    rhs = xc[C:].transpose(1, 2, 0).reshape(n_params, -1)
-    return gram.reshape(n_params, n_params), rhs, (F, B, groups)
+    return gram.reshape(n_params, n_params)
 
 
 def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -291,6 +310,30 @@ def _cholesky_solve(chol: np.ndarray, inverses: list[np.ndarray],
     return x
 
 
+def factor_excitation_gram(r, fir_order: int
+                           ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The excitation side of the T-entry regression on lags 0..fir_order
+    of the excitation rows r: form the Gram (_gram), factor it (_cholesky)
+    and check its rank on the factor.  Returns the factor and the inverses
+    of its diagonal blocks, as _cholesky_solve takes them.  It reads r
+    alone, not the node outputs.  Raises ValueError if the Gram is
+    rank-deficient.
+    """
+    gram = _gram(r, fir_order)
+    gram_diag = np.diag(gram).copy()
+    try:
+        chol, inverses = _cholesky(gram)
+        condition = float(np.max(gram_diag / np.diag(chol) ** 2))
+    except np.linalg.LinAlgError:
+        condition = np.inf
+    if not condition <= GRAM_CONDITION_LIMIT:
+        raise ValueError(
+            f"T-entry regressor is rank-deficient (Gram condition estimate "
+            f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
+            f"excitations are not sufficiently independent")
+    return chol, inverses
+
+
 def check_record_length(N: int, fir_order: int, n_excitations: int) -> None:
     """Raise unless an N-sample record leaves the FIR regression on lags
     0..fir_order of n_excitations excitations at least as many rows
@@ -311,7 +354,9 @@ def check_record_length(N: int, fir_order: int, n_excitations: int) -> None:
 def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
                        cols: Iterable[int],
                        fir_order: int = DEFAULT_FIR_ORDER,
-                       grid: FreqGrid | None = None) -> TSubmatrixEstimate:
+                       grid: FreqGrid | None = None,
+                       factor: Callable[[], tuple] | None = None
+                       ) -> TSubmatrixEstimate:
     """Open-loop MISO estimation of T entries from excitations to nodes.
 
     Each row node's signal w_k is regressed jointly on lags 0..fir_order of
@@ -319,15 +364,24 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     excitations are external and known, so this is an open-loop problem
     regardless of the network's feedback loops).
 
-    The least-squares estimate solves the normal equations, formed from the
-    excitations' auto- and cross-correlations and the excitation-to-node
-    correlations (see _normal_equations) without building the regressor.
-    The Gram's one Cholesky factor, blocked and written over the Gram
-    (_cholesky), is both the rank check and the solve (_cholesky_solve), and
-    is released before the fit.  The fit scores come from the overlap-save
-    convolution of the excitations' segment spectra with the estimated FIR
-    coefficients, one segment group at a time, summing each row's squared
-    error over the groups.
+    The least-squares estimate solves the normal equations without building
+    the regressor.  They split in two sides.  The excitation side,
+    factor_excitation_gram, reads the excitations alone: their auto- and
+    cross-correlations give the Gram (_gram), whose one Cholesky factor,
+    blocked and written over the Gram (_cholesky), is both the rank check
+    and the solve.  The output side forms the excitation-to-node
+    correlations Phi^T w (_rhs), solves on the factor
+    (_cholesky_solve) and releases it before the fit.  The fit scores come
+    from the overlap-save convolution of the excitations' segment spectra
+    with the estimated FIR coefficients, one segment group at a time,
+    summing each row's squared error over the groups.
+
+    factor, if given, is called in place of factor_excitation_gram on the
+    columns' excitation rows, in column order, and fir_order; it must
+    return that call's result or raise its error.  run_local_pipeline uses
+    it to take the factor from a thread that formed it while the network
+    was simulated.  It is called after every check above and after
+    Phi^T w is formed.
     """
     row_nodes = _node_set(rows)
     col_nodes = _node_set(cols)
@@ -346,23 +400,15 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     N = record.N
     r = [record.node_excitation(c) for c in col_nodes]
     w = [record.node_output(m) for m in row_nodes]
-    gram, rhs, (F, B, groups) = _normal_equations(r, w, P)
-    gram_diag = np.diag(gram).copy()
-    try:
-        chol, inverses = _cholesky(gram)
-        condition = float(np.max(gram_diag / np.diag(chol) ** 2))
-    except np.linalg.LinAlgError:
-        condition = np.inf
-    if not condition <= GRAM_CONDITION_LIMIT:
-        raise ValueError(
-            f"T-entry regressor is rank-deficient (Gram condition estimate "
-            f"{condition:.3g} > {GRAM_CONDITION_LIMIT:.0e}); the column "
-            f"excitations are not sufficiently independent")
+    rhs = _rhs(r, w, P)
+    chol, inverses = factor_excitation_gram(r, P) if factor is None \
+        else factor()
     theta = _cholesky_solve(chol, inverses, rhs)
-    del gram, chol, inverses
+    del chol, inverses
 
     coeffs = np.ascontiguousarray(
         theta.T.reshape(len(row_nodes), len(col_nodes), P + 1))
+    F, B, groups = _segmentation(N, P)
     spectra = np.fft.rfft(coeffs, F)
     err2 = np.zeros(len(w))  # index P + j of segment s is y_hat[P + sB + j]
     for a, g in groups:

@@ -16,13 +16,18 @@ fixed and documented so that records are reproducible bit-for-bit:
    every node.
 
 The draws are made one row at a time, which yields the same numbers as one
-(L, N) draw.  The record stores w and the excited rows of r; v goes into w's
+(L, N) draw.  simulate's on_excitation hook, if given, receives the kept
+rows of r after step 1, scaled, and before step 2; they are final then, so
+a caller may read them on another thread while v is drawn and the network
+is stepped.  The record stores w and the excited rows of r; v goes into w's
 array as the simulated input r + v and is overwritten there.
 
 Identical (model, spec) therefore yields a bit-identical SignalRecord.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -72,9 +77,13 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
                    -1 if seed is None else seed)
 
 
-def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
+def simulate(model: NetworkModel, spec: ExcitationSpec,
+             on_excitation: Callable[[np.ndarray], object] | None = None
+             ) -> SignalRecord:
     """Simulate the network under an ExcitationSpec; see the module docstring
-    for the randomness contract."""
+    for the randomness contract.  on_excitation, if given, is called once
+    with the record's r, one row per excited node, as soon as it is drawn
+    and scaled; it must not write to r."""
     for n in spec.excited_nodes:
         if n > model.L:
             raise ValueError(f"excited node {n} outside 1..{model.L}")
@@ -87,6 +96,8 @@ def simulate(model: NetworkModel, spec: ExcitationSpec) -> SignalRecord:
     for node in range(1, L + 1):
         rng.standard_normal(out=kept.get(node, u[node - 1]))
     r *= np.sqrt(spec.r_variance)
+    if on_excitation is not None:
+        on_excitation(r)
     for row in u:
         rng.standard_normal(out=row)
     u *= np.sqrt(spec.v_variance)

@@ -4,18 +4,22 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from netid import (NetworkModel, RationalTF, ResultTable, Scenario,
-                   ScenarioFormatError, emit_results, load_scenarios,
+from netid import (ExcitationSpec, NetworkModel, RationalTF, ResultTable,
+                   Scenario, ScenarioFormatError, emit_results,
+                   estimate_T_entries, fit_parametric, load_scenarios,
                    plan_experiment_for_model, read_results,
-                   run_local_pipeline, run_monte_carlo)
+                   run_local_pipeline, run_monte_carlo, simulate,
+                   solve_sink_side, solve_source_side)
 from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, check_scenario,
                                default_scenario_file)
+from netid.local import factor_excitation_gram
 from netid.model import default_network_file
 
 GOOD_FILE = """\
@@ -357,6 +361,76 @@ class TestLocalPipeline:
     def test_stage_label_on_error(self, case_study):
         with pytest.raises(RuntimeError, match=r"\[plan\]"):
             run_local_pipeline(case_study, (4, 20))
+
+    @pytest.mark.parametrize("samples", [10_000, 20_011])
+    @pytest.mark.parametrize("target", [(3, 4), (9, 8)])
+    def test_helper_thread_matches_stages_in_series(self, case_study, target,
+                                                    samples, monkeypatch):
+        # 20,011 samples span two segment groups of the T-entry regression
+        threads = []
+
+        def factor(*args):
+            threads.append(threading.current_thread())
+            return factor_excitation_gram(*args)
+
+        monkeypatch.setattr(experiments, "factor_excitation_gram", factor)
+        est = run_local_pipeline(case_study, target, samples=samples, seed=5)
+        assert len(threads) == 1
+        assert threads[0] is not threading.main_thread()
+
+        j, i = target
+        plan = est.plan
+        record = simulate(case_study, ExcitationSpec(
+            plan.excite_set, N=samples, seed=5, r_variance=1.0,
+            v_variance=1e-6))
+        tmat = estimate_T_entries(record, plan.measure_set, plan.excite_set)
+        if plan.which == "source":
+            solved = solve_source_side(tmat.freq, i, plan.measure_set)
+        else:
+            solved = solve_sink_side(tmat.freq, j, plan.excite_set)
+        fit = fit_parametric(solved.module_samples(j, i), est.band,
+                             grid=solved.grid)
+        assert est.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert est.entry_fit_scores == tmat.entry_fit_scores()
+        assert est.dropped_points == solved.dropped_points
+        assert len(threads) == 1  # the series estimate factored in line
+
+    def test_pool_runs_factor_on_their_own_thread(self, case_study,
+                                                  monkeypatch):
+        factors = []
+
+        def estimate(*args, factor=None, **kwargs):
+            factors.append(factor)
+            return estimate_T_entries(*args, factor=factor, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_T_entries", estimate)
+        scn = Scenario(id="l", excited_nodes=(3, 4, 5, 6), method="local",
+                       target=(3, 4), runs=2, samples_per_run=2000,
+                       base_seed=1)
+        before = threading.active_count()
+        assert run_monte_carlo(scn, case_study).failed_runs == 0
+        assert factors == [None, None]
+        assert threading.active_count() == before
+
+    def test_errors_keep_stage_and_end_the_helper(self, case_study):
+        before = threading.active_count()
+        # the helper's factor of an all-zero excitation fails too, but the
+        # estimate's own check comes first
+        with pytest.raises(RuntimeError,
+                           match=r"^\[estimate\] column node \d+ is not "
+                                 r"excited"):
+            run_local_pipeline(case_study, (3, 4), samples=2000, seed=1,
+                               fir_order=60, r_var=0.0)
+        assert threading.active_count() == before
+        # (3,4) scaled x40: spectral radius 4
+        unstable = NetworkModel(case_study.L, {
+            **dict(case_study.edge_items()),
+            (3, 4): RationalTF([0.0, -12.0, 32.0])})
+        with pytest.raises(RuntimeError,
+                           match=r"^\[simulate\] simulation diverged"):
+            run_local_pipeline(unstable, (3, 4), samples=2000, seed=1,
+                               fir_order=60)
+        assert threading.active_count() == before
 
 
 class TestEmission:

@@ -10,7 +10,8 @@ from netid import (ExcitationSpec, FreqGrid, FreqResponseMatrix, NetworkModel,
                    true_T)
 
 from netid import local
-from netid.local import _cholesky, _cholesky_solve, _normal_equations
+from netid.local import (_cholesky, _cholesky_solve, _gram, _rhs,
+                         _segmentation)
 
 from conftest import random_rational_network, random_stable_network
 
@@ -210,7 +211,7 @@ class TestNormalEquations:
         Phi, Y, _, _ = _lstsq_reference(record, rows, cols, P)
         r = np.stack([record.node_excitation(c) for c in cols])
         w = np.stack([record.node_output(m) for m in rows])
-        gram, rhs, _ = _normal_equations(r, w, P)
+        gram, rhs = _gram(r, P), _rhs(r, w, P)
         explicit = Phi.T @ Phi
         assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
         cross = Phi.T @ Y
@@ -242,10 +243,11 @@ class TestSegmentGroups:
         r = np.stack([record.node_excitation(c) for c in cols])
         w = np.stack([record.node_output(m) for m in rows])
         monkeypatch.setattr(local, "_SEGMENT_GROUP", 11)
-        gram, rhs, _ = _normal_equations(r, w, 150)
+        gram, rhs = _gram(r, 150), _rhs(r, w, 150)
         est = estimate_T_entries(record, rows, cols)
         monkeypatch.setattr(local, "_SEGMENT_GROUP", group)
-        gram_g, rhs_g, (_, _, groups) = _normal_equations(r, w, 150)
+        gram_g, rhs_g = _gram(r, 150), _rhs(r, w, 150)
+        _, _, groups = _segmentation(record.N, 150)
         est_g = estimate_T_entries(record, rows, cols)
         assert sum(g for _, g in groups) == 11
         assert len(groups) == -(-11 // group)
@@ -260,8 +262,9 @@ class TestSegmentGroups:
         record, rows, cols = case
         r = [record.node_excitation(c) for c in cols]
         w = [record.node_output(m) for m in rows]
-        gram, rhs, _ = _normal_equations(r, w, 150)
-        gram_a, rhs_a, _ = _normal_equations(np.stack(r), np.stack(w), 150)
+        gram, rhs = _gram(r, 150), _rhs(r, w, 150)
+        gram_a = _gram(np.stack(r), 150)
+        rhs_a = _rhs(np.stack(r), np.stack(w), 150)
         assert np.array_equal(gram, gram_a) and np.array_equal(rhs, rhs_a)
 
 
