@@ -16,7 +16,8 @@ BENCHMARK.json, both sides' values, medians and quartiles, the pairs the
 change won (ties count for neither side) and three verdicts (see
 compare): gain, worse than the metric's bound, and unresolved within it.
 The machine facts are those perfbench/facts.py reported in each tree's
-first run.  The exit code is 1 if any run failed its output checks.
+first run, and src_netid_lines is each tree's line count of src/netid/*.py.
+The exit code is 1 if any run failed its output checks.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int,
         return json.loads(machine), json.loads(lines[-1])
     except json.JSONDecodeError as exc:
         raise failed(f"no JSON result ({exc})") from None
+
+
+def src_netid_lines(tree: Path) -> int:
+    """Line count of the tree's src/netid/*.py, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "netid").glob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -117,6 +124,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
                        check=True)
         trees = {"parent": parent_tree, "change": ROOT}
+        lines = {side: src_netid_lines(tree) for side, tree in trees.items()}
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             for side in order:
@@ -140,7 +148,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "parent": parent_rev,
         "change": git("rev-parse", "HEAD") + (
             " + uncommitted changes" if git("status", "--porcelain") else ""),
-        "machine": machine, "all_correct": ok, "metrics": metrics},
+        "machine": machine, "src_netid_lines": lines, "all_correct": ok,
+        "metrics": metrics},
         indent=1))
     return 0 if ok else 1
 

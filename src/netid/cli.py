@@ -17,7 +17,6 @@ label when one applies.  NETID_WORKERS caps Monte-Carlo concurrency.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,8 +25,9 @@ from .experiments import (ResultTable, Scenario, check_scenario,
                           default_scenario_file, emit_results,
                           load_scenarios, read_results, run_direct,
                           run_local_pipeline, run_monte_carlo, summarize,
-                          write_scatter_svgs)
-from .local import plan_experiment_for_model
+                          write_csv, write_scatter_svgs)
+from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS,
+                    plan_experiment_for_model)
 from .iomap import true_T
 from .model import ExcitationSpec, default_network_file, load_network
 from .sim import simulate
@@ -71,14 +71,10 @@ def _cmd_simulate(args) -> int:
     spec = ExcitationSpec(excited, N=args.samples, seed=args.seed,
                           r_variance=r_var, v_variance=v_var)
     record = simulate(model, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "signals.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"w{j}" for j in range(1, model.L + 1)])
-        for t in range(record.N):
-            writer.writerow([t] + [repr(float(x)) for x in record.w[:, t]])
+    path = write_csv(args.out, "signals.csv",
+                     ["t"] + [f"w{j}" for j in range(1, model.L + 1)],
+                     ([t] + [repr(float(x)) for x in record.w[:, t]]
+                      for t in range(record.N)))
     print(f"simulated {model.L} nodes x {record.N} samples "
           f"(excited {','.join(map(str, excited))}, seed {record.seed})")
     print(f"wrote {path}")
@@ -172,21 +168,12 @@ def _cmd_truth(args) -> int:
         for c in tmat.cols:
             header += [f"T_{r}_{c}_re", f"T_{r}_{c}_im"]
     header += [f"G_{j}_{i}_re", f"G_{j}_{i}_im"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "truth.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        om = grid.as_array()
-        for k in range(len(grid)):
-            row = [repr(float(om[k]))]
-            for r in range(len(tmat.rows)):
-                for c in range(len(tmat.cols)):
-                    z = tmat.values[k, r, c]
-                    row += [repr(float(z.real)), repr(float(z.imag))]
-            row += [repr(float(g_true[k].real)), repr(float(g_true[k].imag))]
-            writer.writerow(row)
+    om = grid.as_array()
+    path = write_csv(args.out, "truth.csv", header, (
+        [repr(float(om[k]))] + [repr(float(x)) for z in
+                                (*tmat.values[k].ravel(), g_true[k])
+                                for x in (z.real, z.imag)]
+        for k in range(len(om))))
     print(f"wrote {path} ({len(grid)} frequencies, "
           f"{len(tmat.rows)}x{len(tmat.cols)} T entries)")
     return 0
@@ -243,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="module to identify, sink,source (default 3,4)")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fir-order", type=int, default=150)
-    p.add_argument("--grid-points", type=int, default=100)
+    p.add_argument("--fir-order", type=int, default=DEFAULT_FIR_ORDER)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--exact-t", action="store_true",
                    help="solve from exact T samples (oracle path, no noise)")
     p.set_defaults(fn=_cmd_local)
@@ -265,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("truth", parents=[common],
                        help="exact T/G frequency responses for a target")
     p.add_argument("--target", default="3,4", metavar="J,I")
-    p.add_argument("--grid-points", type=int, default=100)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_truth)
 

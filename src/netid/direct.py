@@ -119,7 +119,6 @@ class DirectEstimate:
     structure: DirectModelStructure
     theta_hat: np.ndarray
     gram_condition: float
-    residual_variance: float
     informative: bool
 
     def coefficients_for(self, node: int) -> np.ndarray:
@@ -141,7 +140,6 @@ def estimate_direct(record: SignalRecord,
     """
     Phi, y = build_regressor(record, structure)
     theta, _, _, s = np.linalg.lstsq(Phi, y, rcond=None)
-    resid = y - Phi @ theta
     cond = np.inf
     if s.size == Phi.shape[1] and s[-1] > 0.0:
         with np.errstate(over="ignore"):
@@ -150,6 +148,5 @@ def estimate_direct(record: SignalRecord,
         structure=structure,
         theta_hat=theta,
         gram_condition=cond,
-        residual_variance=float(resid @ resid / resid.size),
         informative=bool(cond < INFORMATIVITY_THRESHOLD),
     )

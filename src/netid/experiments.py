@@ -26,7 +26,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +39,18 @@ from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
 from .iomap import is_internally_stable, true_T
-from .model import ExcitationSpec, NetworkModel
+from .model import ExcitationSpec, NetworkModel, node_set
 from .sim import simulate
 from .tf import FreqGrid
 
 SCENARIO_FORMAT_VERSION = 1
-_SCENARIO_KEYS = frozenset(
-    {"excite", "method", "target", "runs", "samples", "seed", "r_var", "v_var"})
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible identification experiment."""
+    """One reproducible identification experiment.  Its excitation values
+    follow ExcitationSpec's rules; excited_nodes is stored as node_set
+    returns it."""
 
     id: str
     excited_nodes: tuple[int, ...]
@@ -66,17 +66,16 @@ class Scenario:
         if self.method not in ("direct", "local"):
             raise ValueError(f"scenario {self.id}: method must be 'direct' "
                              f"or 'local', got {self.method!r}")
-        if self.runs < 1 or self.samples_per_run < 1:
+        if self.runs < 1:
             raise ValueError(f"scenario {self.id}: runs and samples must be >= 1")
         if not self.excited_nodes:
             raise ValueError(f"scenario {self.id}: excited_nodes is empty")
-        if any(n < 1 for n in self.excited_nodes):
-            raise ValueError(f"scenario {self.id}: node indices are 1-based")
-        if self.r_var < 0 or self.v_var < 0:
-            raise ValueError(f"scenario {self.id}: variances must be >= 0")
-        if self.base_seed < 0:
-            raise ValueError(f"scenario {self.id}: seed must be >= 0, got "
-                             f"{self.base_seed}")
+        try:
+            spec = ExcitationSpec(self.excited_nodes, self.samples_per_run,
+                                  self.base_seed, self.r_var, self.v_var)
+        except ValueError as e:
+            raise ValueError(f"scenario {self.id}: {e}") from None
+        object.__setattr__(self, "excited_nodes", spec.excited_nodes)
 
 
 class ScenarioFormatError(ValueError):
@@ -87,13 +86,35 @@ def _scn_error(path, lineno: int, msg: str) -> ScenarioFormatError:
     return ScenarioFormatError(f"{path}:{lineno}: {msg}")
 
 
+def _target(args) -> tuple[int, int]:
+    node_set(args)  # raises for an index below 1
+    return int(args[0]), int(args[1])
+
+
+#: Scenario file key -> (Scenario field, argument count, None for one or
+#: more, and the converter of the one argument or of the argument list).
+_SCENARIO_KEYS = {
+    "excite": ("excited_nodes", None, node_set),
+    "method": ("method", 1, str),
+    "target": ("target", 2, _target),
+    "runs": ("runs", 1, int),
+    "samples": ("samples_per_run", 1, int),
+    "seed": ("base_seed", 1, int),
+    "r_var": ("r_var", 1, float),
+    "v_var": ("v_var", 1, float),
+}
+_REQUIRED_FIELDS = {f.name for f in fields(Scenario) if f.default is MISSING}
+
+
 def load_scenarios(path) -> list[Scenario]:
     """Parse a scenario file.
 
     Format: a `format <version>` line, then `scenario <id>` blocks whose
     indented-or-not `key value` lines set: excite (node list), method,
     target (j i), runs, samples, seed, and optional r_var / v_var.
-    Unknown keys are rejected with their line number.
+    Unknown keys, and values of the wrong count or type, are rejected with
+    their line number; a value that breaks a Scenario rule, with the line
+    of its block's `scenario` header.
     """
     text = Path(path).read_text()
     scenarios: list[Scenario] = []
@@ -103,26 +124,17 @@ def load_scenarios(path) -> list[Scenario]:
     seen_version = False
     ids = set()
 
-    def finish(lineno):
+    def finish():
         if current_id is None:
             return
-        missing = {"excite", "method", "target", "runs", "samples", "seed"} \
-            - current.keys()
+        missing = [key for key, (name, _, _) in _SCENARIO_KEYS.items()
+                   if name in _REQUIRED_FIELDS and name not in current]
         if missing:
             raise _scn_error(path, current_line,
                              f"scenario {current_id} is missing keys: "
                              f"{', '.join(sorted(missing))}")
         try:
-            scenarios.append(Scenario(
-                id=current_id,
-                excited_nodes=current["excite"],
-                method=current["method"],
-                target=current["target"],
-                runs=current["runs"],
-                samples_per_run=current["samples"],
-                base_seed=current["seed"],
-                r_var=current.get("r_var", 1.0),
-                v_var=current.get("v_var", 1e-6)))
+            scenarios.append(Scenario(id=current_id, **current))
         except ValueError as e:
             raise _scn_error(path, current_line, str(e)) from None
 
@@ -151,7 +163,7 @@ def load_scenarios(path) -> list[Scenario]:
         if key == "scenario":
             if len(args) != 1:
                 raise _scn_error(path, lineno, "expected: scenario <id>")
-            finish(lineno)
+            finish()
             current_id = args[0]
             if current_id in ids:
                 raise _scn_error(path, lineno,
@@ -165,40 +177,19 @@ def load_scenarios(path) -> list[Scenario]:
                              f"key {key!r} before any 'scenario' line")
         if key not in _SCENARIO_KEYS:
             raise _scn_error(path, lineno, f"unknown key {key!r}")
-        if key in current:
+        name, count, convert = _SCENARIO_KEYS[key]
+        if name in current:
             raise _scn_error(path, lineno,
                              f"duplicate key {key!r} in scenario {current_id}")
         try:
-            if key == "excite":
-                nodes = tuple(int(a) for a in args)
-                if not nodes or any(n < 1 for n in nodes):
-                    raise ValueError
-                current[key] = tuple(sorted(set(nodes)))
-            elif key == "method":
-                if len(args) != 1 or args[0] not in ("direct", "local"):
-                    raise ValueError
-                current[key] = args[0]
-            elif key == "target":
-                if len(args) != 2:
-                    raise ValueError
-                current[key] = (int(args[0]), int(args[1]))
-                if any(n < 1 for n in current[key]):
-                    raise ValueError
-            elif key in ("runs", "samples", "seed"):
-                if len(args) != 1:
-                    raise ValueError
-                current[key] = int(args[0])
-            else:  # r_var / v_var
-                if len(args) != 1:
-                    raise ValueError
-                current[key] = float(args[0])
-                if current[key] < 0:
-                    raise ValueError
+            if not args or count and len(args) != count:
+                raise ValueError
+            current[name] = convert(args[0] if count == 1 else args)
         except ValueError:
             raise _scn_error(path, lineno,
                              f"invalid value for {key!r}: {' '.join(args)!r}"
                              ) from None
-    finish(len(lines) + 1)
+    finish()
     if not scenarios:
         raise _scn_error(path, max(len(lines), 1), "no scenarios in file")
     return scenarios
@@ -280,7 +271,8 @@ def check_scenario(scenario: Scenario, model: NetworkModel,
     short for the estimator (the direct regressor's delays; for a local
     scenario, the T-entry regression of the default FIR order).  A local
     scenario's excite set must also be its plan's, since the plan decides
-    what a local run excites."""
+    what a local run excites, its r_var above zero, and its target's band
+    no wider than the default grid."""
     j, i = scenario.target
     try:
         if not model.has_edge(j, i):
@@ -303,7 +295,10 @@ def check_scenario(scenario: Scenario, model: NetworkModel,
                 f"excite {_node_list(scenario.excited_nodes)} differs from "
                 f"the local plan's excite set {_node_list(plan.excite_set)} "
                 f"for target ({j},{i})")
-        model.fir_band(j, i)
+        if scenario.r_var == 0:
+            raise ValueError("r_var 0 leaves every excitation at zero, and "
+                             "the local method regresses on excitations")
+        _fit_grid(DEFAULT_GRID_POINTS, model.fir_band(j, i))
         check_record_length(samples, DEFAULT_FIR_ORDER, len(plan.excite_set))
     except ValueError as e:
         raise ValueError(f"scenario {scenario.id}: {e}") from None
@@ -338,22 +333,29 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
     Run k uses seed base_seed + k; per-run estimator failures are recorded
     in the run's row, with the failing stage's label, rather than aborting
     the batch.  A scenario that every run would fail the same way (see
-    check_scenario) raises before any run starts.  `runs` and `samples`
-    override the scenario's counts (the CLI default of 100 runs keeps
-    batches fast; scenario files carry the full counts).
+    check_scenario) raises before any run starts, and so does a target
+    whose band has other than two taps, the a1, a2 of results.csv.  `runs`
+    and `samples` override the scenario's counts (the CLI default of 100
+    runs keeps batches fast; scenario files carry the full counts).
     """
     n_runs = runs if runs is not None else scenario.runs
     n_samples = samples if samples is not None else scenario.samples_per_run
     if n_runs < 1 or n_samples < 1:
         raise ValueError("runs and samples must be >= 1")
     check_scenario(scenario, model, n_samples)
+    j, i = scenario.target
+    band = model.fir_band(j, i)
+    if band[1] != band[0] + 1:
+        raise ValueError(f"scenario {scenario.id}: target module ({j},{i})'s "
+                         f"band {band} is not two taps wide; a batch records "
+                         f"two coefficients, a1 and a2")
 
     def one_run(k: int) -> RunResult:
         seed = scenario.base_seed + k
         try:
             if scenario.method == "direct":
                 est = run_direct(model, scenario, n_samples, seed)
-                coeffs = est.coefficients_for(scenario.target[1])
+                coeffs = est.coefficients_for(i)
                 informative = est.informative
             else:
                 est = run_local_pipeline(
@@ -363,7 +365,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
         except Exception as e:  # recorded, not fatal
             return RunResult(run=k, a1=math.nan, a2=math.nan,
                              informative=False, error=str(e))
-        a1, a2 = ([float(c) for c in coeffs[:2]] + [math.nan] * 2)[:2]
+        a1, a2 = map(float, coeffs)
         return RunResult(run=k, a1=a1, a2=a2, informative=informative)
 
     with one_blas_thread(), \
@@ -389,7 +391,6 @@ class ModuleEstimate:
     plan: MethodChoice
     entry_fit_scores: dict[tuple[int, int], float]
     dropped_points: int
-    residual_rms: float
 
 
 def _fit_grid(points: int, band: tuple[int, int]) -> FreqGrid:
@@ -480,7 +481,7 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     return ModuleEstimate(
         target=(j, i), band=fit.band, coefficients=fit.coefficients,
         plan=plan, entry_fit_scores=fit_scores,
-        dropped_points=solved.dropped_points, residual_rms=fit.residual_rms)
+        dropped_points=solved.dropped_points)
 
 
 # -- result emission ------------------------------------------------------------
@@ -493,6 +494,19 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def write_csv(out_dir, name: str, header, rows) -> Path:
+    """Write the header and rows to `out_dir/name`, creating out_dir, with
+    "\n" line ends; returns the path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_results(table: ResultTable, out_dir) -> list[Path]:
     """Write per-run results to `out_dir/results.csv`; returns [that path].
 
@@ -503,18 +517,10 @@ def emit_results(table: ResultTable, out_dir) -> list[Path]:
     """
     if not table.rows:
         raise ValueError("result table is empty")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "results.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in table.rows:
-            for rr in row.runs:
-                writer.writerow([
-                    row.scenario.id, rr.run, _fmt_float(rr.a1),
-                    _fmt_float(rr.a2), "true" if rr.informative else "false"])
-    return [path]
+    return [write_csv(out_dir, "results.csv", CSV_HEADER, (
+        [row.scenario.id, rr.run, _fmt_float(rr.a1), _fmt_float(rr.a2),
+         "true" if rr.informative else "false"]
+        for row in table.rows for rr in row.runs))]
 
 
 def write_scatter_svgs(runs_by_scenario: dict, out_dir) -> list[Path]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkModel
+from .model import NetworkModel, _check_node
 from .tf import FreqGrid, STABILITY_MARGIN
 
 
@@ -49,8 +49,7 @@ def true_T(model: NetworkModel, rows, cols, grid: FreqGrid) -> FreqResponseMatri
     rows = tuple(int(j) for j in rows)
     cols = tuple(int(i) for i in cols)
     for n in rows + cols:
-        if not (1 <= n <= model.L):
-            raise ValueError(f"node {n} outside 1..{model.L}")
+        _check_node(n, model.L)
     om = grid.as_array()
     A = np.eye(model.L) - model.eval_G(om)          # (K, L, L)
     rhs = np.zeros((model.L, len(cols)))

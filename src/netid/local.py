@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .iomap import FreqResponseMatrix
-from .model import NetworkModel, SignalRecord
+from .model import NetworkModel, SignalRecord, node_set
 from .tf import FreqGrid
 
 #: Grid points whose local solve exceeds this condition number are dropped.
@@ -76,13 +76,6 @@ MAX_DROP_FRACTION = 0.2
 DEFAULT_FIR_ORDER = 150
 #: Default number of frequency grid points.
 DEFAULT_GRID_POINTS = 100
-
-
-def _node_set(nodes: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(n) for n in nodes)))
-    if any(n < 1 for n in out):
-        raise ValueError("node indices are 1-based")
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,8 +113,8 @@ def plan_experiment(target: tuple[int, int],
     {j} u N_j-.  Ties go to the source side.
     """
     j, i = int(target[0]), int(target[1])
-    out_nbrs = _node_set(out_neighbors_of_source)
-    in_nbrs = _node_set(in_neighbors_of_sink)
+    out_nbrs = node_set(out_neighbors_of_source)
+    in_nbrs = node_set(in_neighbors_of_sink)
     if j not in out_nbrs or i not in in_nbrs:
         raise ValueError(
             f"target module ({j},{i}) is not present in the provided local "
@@ -132,13 +125,13 @@ def plan_experiment(target: tuple[int, int],
     if d_out <= d_in:
         return MethodChoice(
             target=(j, i), which="source",
-            excite_set=_node_set(out_nbrs + (i,)),
+            excite_set=node_set(out_nbrs + (i,)),
             measure_set=out_nbrs,
             entry_count=d_out * (1 + d_out))
     return MethodChoice(
         target=(j, i), which="sink",
         excite_set=in_nbrs,
-        measure_set=_node_set(in_nbrs + (j,)),
+        measure_set=node_set(in_nbrs + (j,)),
         entry_count=(d_in + 1) * d_in)
 
 
@@ -383,8 +376,8 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
     was simulated.  It is called after every check above and after
     Phi^T w is formed.
     """
-    row_nodes = _node_set(rows)
-    col_nodes = _node_set(cols)
+    row_nodes = node_set(rows)
+    col_nodes = node_set(cols)
     if not row_nodes or not col_nodes:
         raise ValueError("rows and cols must be nonempty")
     check_record_length(record.N, fir_order, len(col_nodes))
@@ -485,7 +478,7 @@ def solve_source_side(tmat: FreqResponseMatrix, source: int,
     At each grid frequency solves T[N+, N+] x = T[N+, source] for
     x = G[N+, source], where N+ = out_neighbors.
     """
-    nbrs = _node_set(out_neighbors)
+    nbrs = node_set(out_neighbors)
     if not nbrs:
         raise ValueError(f"source node {source} has no out-neighbors")
     return _solve_filtered(tmat.submatrix(nbrs, nbrs),
@@ -501,7 +494,7 @@ def solve_sink_side(tmat: FreqResponseMatrix, sink: int,
     x T[N-, N-] = T[sink, N-] for x = G[sink, N-], where N- = in_neighbors,
     as its transpose T[N-, N-]^T x^T = T[sink, N-]^T.
     """
-    nbrs = _node_set(in_neighbors)
+    nbrs = node_set(in_neighbors)
     if not nbrs:
         raise ValueError(f"sink node {sink} has no in-neighbors")
     return _solve_filtered(tmat.submatrix(nbrs, nbrs).transpose(0, 2, 1),
@@ -516,7 +509,6 @@ class ParametricFit:
 
     band: tuple[int, int]
     coefficients: np.ndarray  # ascending delay over the band
-    residual_rms: float
 
 
 def fit_parametric(samples: np.ndarray, band: tuple[int, int],
@@ -547,6 +539,4 @@ def fit_parametric(samples: np.ndarray, band: tuple[int, int],
     A = np.vstack([E.real, E.imag])
     y = np.concatenate([samples.real, samples.imag])
     theta, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = A @ theta - y
-    return ParametricFit(band=(d0, d1), coefficients=theta,
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+    return ParametricFit(band=(d0, d1), coefficients=theta)

@@ -29,6 +29,15 @@ def _check_node(n: int, L: int) -> None:
         raise ValueError(f"node {n} outside 1..{L}")
 
 
+def node_set(nodes) -> tuple[int, ...]:
+    """Node indices as a sorted tuple without duplicates; raises for an
+    index below 1."""
+    out = tuple(sorted({int(n) for n in nodes}))
+    if out and out[0] < 1:
+        raise ValueError("node indices are 1-based and must be >= 1")
+    return out
+
+
 class NetworkFormatError(ValueError):
     """Raised for malformed network files, with the offending line number."""
 
@@ -182,21 +191,19 @@ class ExcitationSpec:
     r_variance: float = 1.0
     v_variance: float = 1e-6
 
-    def __init__(self, excited_nodes, N, seed, r_variance=1.0, v_variance=1e-6):
-        nodes = tuple(sorted({int(n) for n in excited_nodes}))
-        if any(n < 1 for n in nodes):
-            raise ValueError("node indices are 1-based and must be >= 1")
-        if N < 1:
+    def __post_init__(self):
+        nodes = node_set(self.excited_nodes)
+        if self.N < 1:
             raise ValueError("sample count must be >= 1")
-        if r_variance < 0 or v_variance < 0:
+        if self.r_variance < 0 or self.v_variance < 0:
             raise ValueError("variances must be >= 0")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        object.__setattr__(self, "excited_nodes", nodes)
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "r_variance", float(r_variance))
-        object.__setattr__(self, "v_variance", float(v_variance))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, value in (("excited_nodes", nodes), ("N", int(self.N)),
+                            ("seed", int(self.seed)),
+                            ("r_variance", float(self.r_variance)),
+                            ("v_variance", float(self.v_variance))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,10 @@ class TestEstimate:
         assert np.allclose(est.coefficients_for(5), [-0.5], atol=1e-8)
         true32 = case_study.edge(3, 2).num.coeffs
         assert np.allclose(est.coefficients_for(2), true32, atol=1e-8)
-        assert est.residual_variance < 1e-16
+        Phi, y = build_regressor(record, s)
+        resid = y - Phi @ est.theta_hat
+        residual_variance = resid @ resid / resid.size
+        assert residual_variance < 1e-16
 
     def test_residuals_orthogonal_to_regressors(self, case_study):
         spec = ExcitationSpec(range(1, 21), N=1000, seed=6)

@@ -45,6 +45,14 @@ scenario b
 
 
 @pytest.fixture()
+def wide_band():
+    """Three nodes in a chain: (2,1) has 101 taps of 0.001 at delays
+    1..101, (3,2) is 0.5 q^-1."""
+    return NetworkModel(3, {(2, 1): RationalTF([0.0] + [0.001] * 101),
+                            (3, 2): RationalTF([0.0, 0.5])})
+
+
+@pytest.fixture()
 def failing_estimator(monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("injected estimator failure")
@@ -128,19 +136,44 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFormatError, match="before any"):
             load_scenarios(p)
 
-    @pytest.mark.parametrize("runs, seed, problem", [
-        (0, 0, "runs and samples must be >= 1"),
-        (2, -5, "seed must be >= 0, got -5")], ids=["runs", "seed"])
-    def test_scenario_invariant_names_block_line(self, tmp_path, runs, seed,
+    @pytest.mark.parametrize("key, value, problem", [
+        ("runs", "0", "runs and samples must be >= 1"),
+        ("seed", "-5", "seed must be >= 0, got -5"),
+        ("method", "magic", "method must be 'direct' or 'local', got 'magic'"),
+        ("r_var", "-1", "variances must be >= 0"),
+        ("samples", "0", "sample count must be >= 1")],
+        ids=["runs", "seed", "method", "r_var", "samples"])
+    def test_scenario_invariant_names_block_line(self, tmp_path, key, value,
                                                  problem):
-        # block z starts on line 19, after GOOD_FILE's 18 lines
+        # block z starts on line 19, after GOOD_FILE's 18 lines; the value
+        # parses, so its key's line is not named
+        body = {"excite": "1", "method": "direct", "target": "3 4",
+                "runs": "2", "samples": "100", "seed": "0", key: value}
         p = tmp_path / "s.scn"
-        p.write_text(GOOD_FILE + f"scenario z\n  excite 1\n  method direct\n"
-                     f"  target 3 4\n  runs {runs}\n  samples 100\n"
-                     f"  seed {seed}\n")
+        p.write_text(GOOD_FILE + "scenario z\n" + "".join(
+            f"  {k} {v}\n" for k, v in body.items()))
         with pytest.raises(ScenarioFormatError,
                            match=re.escape(f"s.scn:19: scenario z: {problem}")):
             load_scenarios(p)
+
+    @pytest.mark.parametrize("line", [
+        "excite", "excite 1 x", "method direct local", "target 3",
+        "target 0 4", "seed 1.5", "samples", "v_var small"])
+    def test_value_errors_name_the_key_line(self, tmp_path, line):
+        p = tmp_path / "s.scn"
+        p.write_text(f"format 1\nscenario x\n  runs 1\n  {line}\n")
+        with pytest.raises(ScenarioFormatError,
+                           match=re.escape(f"s.scn:4: invalid value for "
+                                           f"{line.split()[0]!r}")):
+            load_scenarios(p)
+
+    def test_excite_nodes_are_sorted_and_distinct(self, tmp_path):
+        scn = Scenario(id="x", excited_nodes=(5, 3, 3), method="direct",
+                       target=(3, 4), runs=1, samples_per_run=10, base_seed=0)
+        assert scn.excited_nodes == (3, 5)
+        p = tmp_path / "s.scn"
+        p.write_text(GOOD_FILE.replace("excite 1 2", "excite 2 1 2"))
+        assert load_scenarios(p)[0].excited_nodes == (1, 2)
 
     def test_scenario_invariants(self):
         with pytest.raises(ValueError, match="method"):
@@ -292,6 +325,71 @@ class TestMonteCarlo:
                                              r"\(11,10\) is rational"):
             run_monte_carlo(scn, case_study)
         assert simulated == []
+
+    def test_local_zero_r_var_fails_before_any_run(self, case_study,
+                                                   simulated):
+        # with no excitation every run would fail at [estimate]: column
+        # node 3 is not excited
+        scn = Scenario(id="quiet", excited_nodes=(3, 4, 5, 6), method="local",
+                       target=(3, 4), runs=2, samples_per_run=3000,
+                       base_seed=0, r_var=0.0)
+        with pytest.raises(ValueError, match="scenario quiet: r_var 0 "):
+            run_monte_carlo(scn, case_study)
+        assert simulated == []
+
+    def test_local_band_wider_than_the_grid_fails_before_any_run(
+            self, wide_band, simulated):
+        # (2,1) has 101 taps, more than the default grid's 100 points, so
+        # every run would fail at [plan]
+        scn = Scenario(id="wide", excited_nodes=(1, 2), method="local",
+                       target=(2, 1), runs=2, samples_per_run=3000,
+                       base_seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario wide: grid of 100 points is too small to fit band "
+                "(1, 101)'s 101 coefficients")):
+            run_monte_carlo(scn, wide_band)
+        assert simulated == []
+
+    @pytest.mark.parametrize("network, target, band", [
+        ("case_study", (3, 5), (1, 1)), ("wide_band", (2, 1), (1, 101))],
+        ids=["one_tap", "101_taps"])
+    def test_target_not_two_taps_wide_fails_before_any_run(
+            self, request, simulated, network, target, band):
+        # results.csv holds a1 and a2: a 1-tap target's a2 would read nan,
+        # and taps past the second would be lost
+        model = request.getfixturevalue(network)
+        scn = Scenario(id="taps", excited_nodes=tuple(range(1, model.L + 1)),
+                       method="direct", target=target, runs=3,
+                       samples_per_run=500, base_seed=0)
+        check_scenario(scn, model, 500)  # netid direct accepts it
+        j, i = target
+        with pytest.raises(ValueError, match=re.escape(
+                f"scenario taps: target module ({j},{i})'s band {band} is "
+                f"not two taps wide")):
+            run_monte_carlo(scn, model)
+        assert simulated == []
+
+    @pytest.mark.parametrize("network", ["case_study", "wide_band"])
+    def test_check_agrees_with_the_plan_stage(self, request, network):
+        # a local scenario with the plan's excite set passes check_scenario
+        # exactly when the pipeline gets past [plan], for every edge
+        model = request.getfixturevalue(network)
+        for (j, i), _ in model.edge_items():
+            plan = plan_experiment_for_model(model, (j, i))
+            scn = Scenario(id="p", excited_nodes=plan.excite_set,
+                           method="local", target=(j, i), runs=1,
+                           samples_per_run=10_000, base_seed=0)
+            try:
+                check_scenario(scn, model, 10_000)
+                checked = True
+            except ValueError:
+                checked = False
+            try:
+                run_local_pipeline(model, (j, i), exact_T=True)
+                planned = True
+            except RuntimeError as e:
+                planned = not str(e).startswith("[plan]")
+            assert checked == planned, (j, i)
 
     def test_local_scenario_with_rational_sibling_accepted(self,
                                                            case_study):

@@ -395,7 +395,10 @@ class TestFitParametric:
         samples = -0.3 * np.exp(-1j * om) + 0.8 * np.exp(-2j * om)
         fit = fit_parametric(samples, (1, 2))
         assert np.allclose(fit.coefficients, [-0.3, 0.8], atol=1e-12)
-        assert fit.residual_rms < 1e-12
+        a1, a2 = fit.coefficients
+        resid = a1 * np.exp(-1j * om) + a2 * np.exp(-2j * om) - samples
+        residual_rms = np.sqrt(np.mean(resid.real ** 2 + resid.imag ** 2) / 2)
+        assert residual_rms < 1e-12
 
     def test_zero_samples_give_zero(self):
         fit = fit_parametric(np.zeros(50, dtype=complex), (0, 3))

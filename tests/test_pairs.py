@@ -55,3 +55,13 @@ def test_narrow_spread_is_resolved(pairs):
     out = pairs.compare(PARENT, list(PARENT), "lower", 0.25)
     assert not out["unresolved"] and not out["worse"] and not out["gain"]
     assert out["wins"] == 0 and out["bound"] == 0.25
+
+
+def test_src_netid_lines_counts_the_package_modules(pairs, tmp_path):
+    package = tmp_path / "src" / "netid"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nno_final_newline = 4")
+    (package / "data" / "c.py").write_text("skipped\n")  # not a module
+    (package / "notes.txt").write_text("skipped\n")
+    assert pairs.src_netid_lines(tmp_path) == 3
