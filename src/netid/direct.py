@@ -6,9 +6,14 @@ FIR module parametrizations and a unit noise model (output-error-like
 structure, H = 1), the prediction-error estimate is an ordinary linear
 least-squares solution - no iterative optimization.
 
+That least-squares problem is solved on a QR factor streamed over row
+blocks of the regressor, so no array as long as the record is held
+(tall-skinny QR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
+34(1), 2012).
+
 Closed-loop informativity is diagnosed numerically: the condition number of
 the sample Gram matrix of the regressor, read off the singular values of the
-least-squares solve.  A rank-deficient experiment (for example, exciting
+streamed QR factor.  A rank-deficient experiment (for example, exciting
 only nodes whose responses move the regressors inside a common subspace)
 produces a huge condition number; estimates are then reported from the
 minimum-norm solution and flagged non-informative rather than rejected,
@@ -22,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkModel, SignalRecord
+from .model import NetworkModel, SignalRecord, node_set
 
 #: Gram condition number above which an experiment is flagged non-informative.
 INFORMATIVITY_THRESHOLD = 1e6
+
+#: Regressor rows per block of the streamed QR factor.
+_ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,7 @@ class DirectModelStructure:
     def __post_init__(self):
         if not self.regressor_nodes:
             raise ValueError("at least one regressor node is required")
-        if min(self.target_node, *self.regressor_nodes) < 1:
-            raise ValueError("node indices are 1-based")
+        node_set((self.target_node, *self.regressor_nodes))  # raises below 1
         if len(self.bands) != len(self.regressor_nodes):
             raise ValueError("one (first_delay, last_delay) band per regressor node")
         for node, (d0, d1) in zip(self.regressor_nodes, self.bands):
@@ -89,26 +96,28 @@ class DirectModelStructure:
         return tuple(out)
 
 
-def build_regressor(record: SignalRecord,
-                    structure: DirectModelStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Regression matrix and target: rows t = max_delay .. N-1.
+def build_regressor(record: SignalRecord, structure: DirectModelStructure,
+                    start: int = 0,
+                    stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Regression matrix and target: rows t = max_delay .. N-1, or rows
+    start .. stop-1 of that window.
 
     Column order is (edge order) x (ascending delay within the band); the
     target is y(t) = w_j(t) - r_j(t), the part of node j's signal explained
     by its in-neighbors and the disturbance.
     """
-    N = record.N
-    structure.check_record_length(N)
+    structure.check_record_length(record.N)
     maxd = structure.max_delay
-    rows = N - maxd
+    rows = record.N - maxd
+    lo, hi = maxd + start, maxd + (rows if stop is None else min(stop, rows))
     cols = []
     for node, (d0, d1) in zip(structure.regressor_nodes, structure.bands):
         wk = record.node_output(node)
         for d in range(d0, d1 + 1):
-            cols.append(wk[maxd - d:N - d])
-    Phi = np.stack(cols, axis=1) if cols else np.zeros((rows, 0))
+            cols.append(wk[lo - d:hi - d])
+    Phi = np.array(cols).T  # column-major: one contiguous copy per column
     j = structure.target_node
-    y = record.node_output(j)[maxd:] - record.node_excitation(j)[maxd:]
+    y = record.node_output(j)[lo:hi] - record.node_excitation(j)[lo:hi]
     return Phi, y
 
 
@@ -131,17 +140,36 @@ def estimate_direct(record: SignalRecord,
                     structure: DirectModelStructure) -> DirectEstimate:
     """Prediction-error estimate of all modules into the target node.
 
-    The minimizer of the squared prediction error is computed by SVD-based
-    least squares, which returns the minimum-norm solution when the normal
-    equations are rank-deficient; the informativity verdict (Gram condition
-    number against the threshold) tells the two situations apart.  The
-    Gram matrix Phi'Phi/n has eigenvalues s**2/n for the singular values s
-    of Phi that the solve returns, so its condition is (s[0]/s[-1])**2.
+    [Phi y] = Q R is factored _ROW_BLOCK rows at a time: each block goes
+    under the running triangle R and the stack is factored again.  Q has
+    orthonormal columns, so |Phi theta - y| = |R[:, :n] theta - R[:, n]|
+    and Phi has the singular values s of R[:, :n] (Golub & Van Loan,
+    Matrix Computations, 4th ed., sec. 5.3).  SVD-based least squares on
+    the triangle, with the rank cut lstsq would apply to Phi, returns the
+    minimum-norm solution when the normal equations are rank-deficient; the
+    informativity verdict (Gram condition number against the threshold)
+    tells the two situations apart.  The Gram matrix Phi'Phi/rows has
+    eigenvalues s**2/rows, so its condition is (s[0]/s[-1])**2, and
+    infinite with fewer rows than parameters.
     """
-    Phi, y = build_regressor(record, structure)
-    theta, _, _, s = np.linalg.lstsq(Phi, y, rcond=None)
+    structure.check_record_length(record.N)
+    rows = record.N - structure.max_delay
+    n = structure.slices()[-1].stop
+    # the triangle's k rows over the next block; column-major for LAPACK
+    stack = np.empty((n + 1 + _ROW_BLOCK, n + 1), order="F")
+    k = 0
+    for start in range(0, rows, _ROW_BLOCK):
+        Phi, y = build_regressor(record, structure, start, start + _ROW_BLOCK)
+        end = k + len(y)
+        stack[k:end, :n] = Phi
+        stack[k:end, n] = y
+        R = np.linalg.qr(stack[:end], mode="r")
+        k = len(R)
+        stack[:k] = R
+    theta, _, _, s = np.linalg.lstsq(R[:, :n], R[:, n],
+                                     rcond=np.finfo(float).eps * max(rows, n))
     cond = np.inf
-    if s.size == Phi.shape[1] and s[-1] > 0.0:
+    if s.size == n and s[-1] > 0.0:
         with np.errstate(over="ignore"):
             cond = float((s[0] / s[-1]) ** 2)
     return DirectEstimate(

@@ -67,7 +67,7 @@ class Scenario:
             raise ValueError(f"scenario {self.id}: method must be 'direct' "
                              f"or 'local', got {self.method!r}")
         if self.runs < 1:
-            raise ValueError(f"scenario {self.id}: runs and samples must be >= 1")
+            raise ValueError(f"scenario {self.id}: runs must be >= 1")
         if not self.excited_nodes:
             raise ValueError(f"scenario {self.id}: excited_nodes is empty")
         try:

@@ -422,7 +422,8 @@ def estimate_T_entries(record: SignalRecord, rows: Iterable[int],
 
     om = grid.as_array()
     basis = np.exp(-1j * np.outer(om, np.arange(P + 1)))  # (K, P+1)
-    values = np.einsum("rcd,kd->krc", coeffs, basis)
+    values = (basis @ coeffs.reshape(-1, P + 1).T).reshape(
+        len(om), len(row_nodes), len(col_nodes))
     freq = FreqResponseMatrix(rows=row_nodes, cols=col_nodes, grid=grid,
                               values=values)
     return TSubmatrixEstimate(freq=freq, coefficients=coeffs,

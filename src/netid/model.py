@@ -225,11 +225,11 @@ class SignalRecord:
         if self.w.ndim != 2:
             raise ValueError(f"w must be (L, N), got shape {self.w.shape}")
         excited = tuple(int(n) for n in self.excited)
-        if list(excited) != sorted(set(excited)):
+        if excited != node_set(excited):
             raise ValueError(f"excited nodes {excited} must be sorted and "
                              f"distinct")
-        for n in excited:
-            _check_node(n, self.L)
+        if excited:
+            _check_node(excited[-1], self.L)
         if self.r.shape != (len(excited), self.N):
             raise ValueError(f"r must be ({len(excited)}, {self.N}), one row "
                              f"per excited node, got shape {self.r.shape}")

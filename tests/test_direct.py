@@ -5,6 +5,7 @@ import pytest
 
 from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
                    RationalTF, build_regressor, estimate_direct, simulate)
+from netid import direct
 from netid.model import SignalRecord
 
 ALL_NODES = tuple(range(1, 21))
@@ -83,6 +84,14 @@ class TestRegressor:
         assert np.array_equal(Phi[:, 2], w4[1:499])      # node 4, delay 1
         assert np.array_equal(Phi[:, 3], w4[0:498])      # node 4, delay 2
 
+    def test_row_range_is_a_slice_of_the_window(self, case_study, record):
+        s = DirectModelStructure.from_model(case_study, 3)
+        Phi, y = build_regressor(record, s)
+        for start, stop in ((0, 1), (17, 301), (400, 498), (450, 10_000)):
+            part = build_regressor(record, s, start, stop)
+            assert np.array_equal(part[0], Phi[start:stop])
+            assert np.array_equal(part[1], y[start:stop])
+
     def test_node_above_L_rejected(self, record):
         for target, regressor in ((3, 21), (21, 3)):
             s = DirectModelStructure(target_node=target,
@@ -143,6 +152,31 @@ class TestEstimate:
             case_study, 3))
         assert est.gram_condition == np.inf
         assert not est.informative
+
+
+class TestStreamedFactor:
+    """estimate_direct against lstsq on the whole regressor."""
+
+    @pytest.mark.parametrize("excited, N, row_block", [
+        (ALL_NODES, 10_000, None),
+        ((3,), 10_000, None),  # scenario 3: Gram condition about 6e6
+        (ALL_NODES, 2 * 2048 + 702, None),  # a partial last block
+        (ALL_NODES, 500, 5)],  # 100 blocks, each shorter than the triangle
+        ids=["all-excited", "scenario-3", "partial-block", "row-block-5"])
+    def test_matches_lstsq_on_the_whole_regressor(
+            self, case_study, monkeypatch, excited, N, row_block):
+        if row_block is not None:
+            monkeypatch.setattr(direct, "_ROW_BLOCK", row_block)
+        record = simulate(case_study, ExcitationSpec(excited, N=N, seed=14))
+        s = DirectModelStructure.from_model(case_study, 3)
+        Phi, y = build_regressor(record, s)
+        theta, _, _, sv = np.linalg.lstsq(Phi, y, rcond=None)
+        cond = (sv[0] / sv[-1]) ** 2
+        est = estimate_direct(record, s)
+        assert np.linalg.norm(est.theta_hat - theta) <= (
+            1e-12 * np.linalg.norm(theta))
+        assert est.gram_condition == pytest.approx(cond, rel=1e-12)
+        assert est.informative == (cond < direct.INFORMATIVITY_THRESHOLD)
 
 
 class TestInformativity:

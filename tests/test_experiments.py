@@ -137,7 +137,7 @@ class TestScenarioFile:
             load_scenarios(p)
 
     @pytest.mark.parametrize("key, value, problem", [
-        ("runs", "0", "runs and samples must be >= 1"),
+        ("runs", "0", "runs must be >= 1"),
         ("seed", "-5", "seed must be >= 0, got -5"),
         ("method", "magic", "method must be 'direct' or 'local', got 'magic'"),
         ("r_var", "-1", "variances must be >= 0"),

@@ -1,6 +1,6 @@
-"""Working memory of the record-length path: at 10^5 samples, simulate and
-the T-entry regression hold no temporary the length of the record, and a
-record holds w and only the excited rows of r."""
+"""Working memory of the record-length path: at 10^5 samples, simulate, the
+T-entry regression and the direct solve hold no temporary the length of the
+record, and a record holds w and only the excited rows of r."""
 
 import json
 import subprocess
@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netid import (ExcitationSpec, estimate_T_entries,
-                   plan_experiment_for_model, simulate)
+from netid import (DirectModelStructure, ExcitationSpec, estimate_direct,
+                   estimate_T_entries, plan_experiment_for_model, simulate)
 
 ROOT = Path(__file__).resolve().parent.parent
 N = 100_000
@@ -51,6 +51,16 @@ def test_t_entries_hold_little_beside_the_record(realized):
         rec, plan.measure_set, plan.excite_set))
     assert np.all(np.array(est.fit_scores) > 0.99)
     assert peak <= LIMIT
+
+
+def test_direct_holds_little_beside_the_record(realized):
+    # the (N, 7) regressor alone is 5.3 MiB
+    rec = simulate(realized, ExcitationSpec(range(1, realized.L + 1), N=N,
+                                            seed=3))
+    structure = DirectModelStructure.from_model(realized, 3)
+    est, peak = traced_peak(lambda: estimate_direct(rec, structure))
+    assert est.informative
+    assert peak <= 2**20
 
 
 def test_local_record_holds_w_and_the_excited_rows(realized):
