@@ -25,7 +25,9 @@ copy of the regressor that lstsq makes, so each row also reports rss_mb:
 the peak resident set size (ru_maxrss) of a fresh interpreter that imports
 netid, builds the case study's realization, makes the layer's inputs and
 calls the layer once; so it includes the import, and the estimators' rows
-include the simulate call that makes their record.  Each layer also
+include the simulate call that makes their record.  rss_mb is the median
+of min(3, --repeat) such probes, and rss_range_mb their lowest and highest,
+since a single probe can be off by a few MB.  Each layer also
 reports its best wall time over --repeat untraced calls.  BLAS is held to
 one thread, as in perfbench.  Standard output gets one JSON object with the
 machine facts (perfbench/facts.py) and one row per layer and record length.
@@ -37,6 +39,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -128,7 +131,9 @@ def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
             row["record_mb"] = round(held, 2)
         del out
         row["peak_above_inputs_mb"] = round(peak, 2)
-        row["rss_mb"] = round(rss[layer, N, target], 2)
+        probes = rss[layer, N, target]
+        row["rss_mb"] = round(statistics.median(probes), 2)
+        row["rss_range_mb"] = [round(min(probes), 2), round(max(probes), 2)]
         row["best_ms"] = round(best_ms(call, repeat), 2)
         rows.append(row)
     return rows
@@ -142,6 +147,8 @@ def main(argv=None) -> int:
     p.add_argument("--rss-probe", help=argparse.SUPPRESS)
     p.add_argument("--target", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    if args.repeat < 1:
+        p.error("--repeat must be >= 1")
     model = netid.build_case_study()
     if args.rss_probe:
         target = args.target and tuple(map(int, args.target.split(",")))
@@ -152,7 +159,8 @@ def main(argv=None) -> int:
     # Linux carries a parent's peak RSS into its child's ru_maxrss, across
     # fork and exec, so the probes run while this process holds only its
     # imports, less than any probe holds.
-    rss = {(layer, N, target): rss_mb(layer, N, target)
+    rss = {(layer, N, target): [rss_mb(layer, N, target)
+                                for _ in range(min(3, args.repeat))]
            for N in args.samples for layer, target in LAYERS}
     for layer, target in LAYERS:  # lazy set-up, such as the realization
         layer_call(model, layer, 2_000, target)()

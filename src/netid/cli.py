@@ -256,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_truth)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="summarize an emitted results.csv")
+    p = sub.add_parser("report", help="summarize an emitted results.csv")
     p.add_argument("--out", default="netid-out", metavar="DIR")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.set_defaults(fn=_cmd_report)

@@ -7,9 +7,10 @@ structure, H = 1), the prediction-error estimate is an ordinary linear
 least-squares solution - no iterative optimization.
 
 That least-squares problem is solved on a QR factor streamed over row
-blocks of the regressor, so no array as long as the record is held
-(tall-skinny QR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
-34(1), 2012).
+blocks of the regressor and reduced in a flat tree (tall-skinny QR: Demmel,
+Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012), which holds
+one block and one (n+1)^2 triangle per block for n parameters, not an array
+as long as the record: 25 KB for the case study's node 3 at 1e5 samples.
 
 Closed-loop informativity is diagnosed numerically: the condition number of
 the sample Gram matrix of the regressor, read off the singular values of the
@@ -140,8 +141,8 @@ def estimate_direct(record: SignalRecord,
                     structure: DirectModelStructure) -> DirectEstimate:
     """Prediction-error estimate of all modules into the target node.
 
-    [Phi y] = Q R is factored _ROW_BLOCK rows at a time: each block goes
-    under the running triangle R and the stack is factored again.  Q has
+    [Phi y] = Q R is factored in a flat tree: each _ROW_BLOCK-row block is
+    factored on its own, and the stack of the block triangles once.  Q has
     orthonormal columns, so |Phi theta - y| = |R[:, :n] theta - R[:, n]|
     and Phi has the singular values s of R[:, :n] (Golub & Van Loan,
     Matrix Computations, 4th ed., sec. 5.3).  SVD-based least squares on
@@ -155,17 +156,11 @@ def estimate_direct(record: SignalRecord,
     structure.check_record_length(record.N)
     rows = record.N - structure.max_delay
     n = structure.slices()[-1].stop
-    # the triangle's k rows over the next block; column-major for LAPACK
-    stack = np.empty((n + 1 + _ROW_BLOCK, n + 1), order="F")
-    k = 0
+    triangles = []
     for start in range(0, rows, _ROW_BLOCK):
         Phi, y = build_regressor(record, structure, start, start + _ROW_BLOCK)
-        end = k + len(y)
-        stack[k:end, :n] = Phi
-        stack[k:end, n] = y
-        R = np.linalg.qr(stack[:end], mode="r")
-        k = len(R)
-        stack[:k] = R
+        triangles.append(np.linalg.qr(np.column_stack((Phi, y)), mode="r"))
+    R = np.linalg.qr(np.vstack(triangles), mode="r")
     theta, _, _, s = np.linalg.lstsq(R[:, :n], R[:, n],
                                      rcond=np.finfo(float).eps * max(rows, n))
     cond = np.inf

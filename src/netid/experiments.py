@@ -26,7 +26,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,12 +267,12 @@ def check_scenario(scenario: Scenario, model: NetworkModel,
                    samples: int) -> None:
     """Raise, naming the problem, for a scenario that every run would fail
     the same way: a target module or excited node the model lacks, an
-    unstable model, a rational target, or runs of `samples` samples too
-    short for the estimator (the direct regressor's delays; for a local
-    scenario, the T-entry regression of the default FIR order).  A local
-    scenario's excite set must also be its plan's, since the plan decides
-    what a local run excites, its r_var above zero, and its target's band
-    no wider than the default grid."""
+    unstable model, a rational target, or runs of `samples` samples that
+    leave the estimator's regression fewer rows than parameters (for a
+    local scenario, the T-entry regression of the default FIR order).  A
+    local scenario's excite set must also be its plan's, since the plan
+    decides what a local run excites, its r_var above zero, and its
+    target's band no wider than the default grid."""
     j, i = scenario.target
     try:
         if not model.has_edge(j, i):
@@ -286,8 +286,13 @@ def check_scenario(scenario: Scenario, model: NetworkModel,
             raise ValueError("the model is not internally stable; every run "
                              "would diverge")
         if scenario.method == "direct":
-            DirectModelStructure.from_model(model, j).check_record_length(
-                samples)
+            structure = DirectModelStructure.from_model(model, j)
+            structure.check_record_length(samples)
+            rows = samples - structure.max_delay
+            n_params = structure.slices()[-1].stop
+            if rows < n_params:
+                raise ValueError(f"record too short: {rows} regression rows "
+                                 f"< {n_params} parameters")
             return
         plan = plan_experiment_for_model(model, (j, i))
         if set(scenario.excited_nodes) != set(plan.excite_set):
@@ -319,8 +324,9 @@ def run_direct(model: NetworkModel, scenario: Scenario, samples: int,
     estimate; a stage error is re-raised with the stage name prefixed."""
     structure = _stage("plan", DirectModelStructure.from_model, model,
                        scenario.target[0])
-    spec = ExcitationSpec(scenario.excited_nodes, N=samples, seed=seed,
-                          r_variance=scenario.r_var, v_variance=scenario.v_var)
+    spec = _stage("plan", ExcitationSpec, scenario.excited_nodes, N=samples,
+                  seed=seed, r_variance=scenario.r_var,
+                  v_variance=scenario.v_var)
     record = _stage("simulate", simulate, model, spec)
     return _stage("estimate", estimate_direct, record, structure)
 
@@ -335,13 +341,14 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
     the batch.  A scenario that every run would fail the same way (see
     check_scenario) raises before any run starts, and so does a target
     whose band has other than two taps, the a1, a2 of results.csv.  `runs`
-    and `samples` override the scenario's counts (the CLI default of 100
-    runs keeps batches fast; scenario files carry the full counts).
+    and `samples` replace the scenario's counts, under Scenario's rules, and
+    the result's scenario carries the counts the batch ran with.
     """
-    n_runs = runs if runs is not None else scenario.runs
-    n_samples = samples if samples is not None else scenario.samples_per_run
-    if n_runs < 1 or n_samples < 1:
-        raise ValueError("runs and samples must be >= 1")
+    scenario = replace(
+        scenario, runs=scenario.runs if runs is None else runs,
+        samples_per_run=scenario.samples_per_run if samples is None
+        else samples)
+    n_samples = scenario.samples_per_run
     check_scenario(scenario, model, n_samples)
     j, i = scenario.target
     band = model.fir_band(j, i)
@@ -370,7 +377,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
 
     with one_blas_thread(), \
             ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = tuple(pool.map(one_run, range(n_runs)))
+        results = tuple(pool.map(one_run, range(scenario.runs)))
     mean, std, rate = summarize(results)
     return ScenarioResult(
         scenario=scenario, runs=results, mean=mean, std=std,
@@ -460,8 +467,8 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     else:
         _stage("plan", check_record_length, samples, fir_order,
                len(plan.excite_set))
-        spec = ExcitationSpec(plan.excite_set, N=samples, seed=seed,
-                              r_variance=r_var, v_variance=v_var)
+        spec = _stage("plan", ExcitationSpec, plan.excite_set, N=samples,
+                      seed=seed, r_variance=r_var, v_variance=v_var)
         with _excitation_side(fir_order) as (hook, factor):
             record = _stage("simulate", simulate, model, spec,
                             on_excitation=hook)
@@ -476,10 +483,10 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
     else:
         solved = _stage("solve", solve_sink_side, tmat, j, plan.excite_set)
 
-    fit = _stage("fit", fit_parametric, solved.module_samples(j, i), band,
-                 grid=solved.grid)
+    coefficients = _stage("fit", fit_parametric, solved.module_samples(j, i),
+                          band, grid=solved.grid)
     return ModuleEstimate(
-        target=(j, i), band=fit.band, coefficients=fit.coefficients,
+        target=(j, i), band=band, coefficients=coefficients,
         plan=plan, entry_fit_scores=fit_scores,
         dropped_points=solved.dropped_points)
 

@@ -24,11 +24,13 @@ Chunked, lifted recursion: the record is cut into ceil(N / _CHUNK) chunks
 whose lengths differ by at most one sample, each walked in turn from the
 state the one before left (zero for the first).  Once a chunk's states are
 known, w = C x + D u overwrites the chunk's u in place, in products of
-_OUT_BLOCK samples; later chunks' u is still untouched.  A chunk of Nc
-samples from sample s is cut into P = ceil(Nc/K) blocks of K = isqrt(Nc)
-samples; chunk and block lengths are functions of N alone, so bits depend on
-nothing but the record.  With S_m = x(s + mK) the state at block m's first
-sample:
+_OUT_BLOCK samples; later chunks' u is still untouched.  One block length,
+K = isqrt of the longest chunk's length, serves every chunk of a call, so H
+and A^K below are built once; a chunk of Nc samples from sample s is cut
+into P = ceil(Nc/K) blocks.  As chunk lengths differ by at most one, K is
+isqrt(Nc) unless the longest is a perfect square beside a shorter chunk
+(N = 19,999).  Chunk and block lengths, and so the bits, depend on N alone.
+With S_m = x(s + mK) the state at block m's first sample:
   1. block ends E_m = sum_{i<K} A^(K-1-i) B u(s + mK + i), for all blocks
      in one batched product: H[l, i] = (A^(K-1-i) B)^T[l] (H's powers by
      doubling), node l's input in the blocks is a (P-1, K) view of u, and
@@ -125,24 +127,22 @@ def sim_loop_numpy(A, B, C, D, u):
     x = np.zeros(n)                     # state at the chunk's first sample
     chunks = -(-N // _CHUNK)
     top = -(-N // chunks)               # the first chunk is the longest
-    Xbuf = np.empty((top + math.isqrt(top), n))
-    K = 0
+    K = math.isqrt(top)
+    Xbuf = np.empty((top + K, n))
     # blow-ups are reported through the bad-sample return value, so silence
     # the overflow warnings the final diverging samples would emit
     with np.errstate(over="ignore", invalid="ignore"):
+        H = np.empty((K, L, n))         # H[i] = (A^(K-1-i) B)^T
+        H[K - 1] = BT
+        done, AT2 = 1, AT               # doubling: H[K-done:] is filled
+        while done < K:                 # and AT2 = (A^T)^done
+            k = min(done, K - done)
+            np.matmul(H[K - k:], AT2, out=H[K - done - k:K - done])
+            done, AT2 = done + k, AT2 @ AT2
+        H = H.transpose(1, 0, 2)        # H[l, i] = (A^(K-1-i) B)^T[l]
+        AKT = np.linalg.matrix_power(AT, K)
         for c in range(chunks):
             s, e = -(-c * N // chunks), -(-(c + 1) * N // chunks)
-            if math.isqrt(e - s) != K:
-                K = math.isqrt(e - s)
-                H = np.empty((K, L, n))  # H[i] = (A^(K-1-i) B)^T
-                H[K - 1] = BT
-                done, AT2 = 1, AT       # doubling: H[K-done:] is filled
-                while done < K:         # and AT2 = (A^T)^done
-                    k = min(done, K - done)
-                    np.matmul(H[K - k:], AT2, out=H[K - done - k:K - done])
-                    done, AT2 = done + k, AT2 @ AT2
-                H = H.transpose(1, 0, 2)  # H[l, i] = (A^(K-1-i) B)^T[l]
-                AKT = np.linalg.matrix_power(AT, K)
             P = -(-(e - s) // K)
             u = w[:, s:e]
             U = u[:, :(P - 1) * K].reshape(L, P - 1, K)

@@ -83,19 +83,22 @@ class MethodChoice:
     """Experiment plan for one target module (j, i).
 
     which is "source" (solve for all modules leaving i) or "sink" (solve
-    for all modules entering j); entry_count is the number of T entries
-    the chosen side must estimate.
+    for all modules entering j).
     """
 
     target: tuple[int, int]
     which: str
     excite_set: tuple[int, ...]
     measure_set: tuple[int, ...]
-    entry_count: int
 
     def __post_init__(self):
         if self.which not in ("source", "sink"):
             raise ValueError("which must be 'source' or 'sink'")
+
+    @property
+    def entry_count(self) -> int:
+        """T entries the chosen side estimates: d (1 + d) on either side."""
+        return len(self.excite_set) * len(self.measure_set)
 
 
 def plan_experiment(target: tuple[int, int],
@@ -126,13 +129,11 @@ def plan_experiment(target: tuple[int, int],
         return MethodChoice(
             target=(j, i), which="source",
             excite_set=node_set(out_nbrs + (i,)),
-            measure_set=out_nbrs,
-            entry_count=d_out * (1 + d_out))
+            measure_set=out_nbrs)
     return MethodChoice(
         target=(j, i), which="sink",
         excite_set=in_nbrs,
-        measure_set=node_set(in_nbrs + (j,)),
-        entry_count=(d_in + 1) * d_in)
+        measure_set=node_set(in_nbrs + (j,)))
 
 
 def plan_experiment_for_model(model: NetworkModel,
@@ -504,18 +505,11 @@ def solve_sink_side(tmat: FreqResponseMatrix, sink: int,
                            "sink-side")
 
 
-@dataclass(frozen=True, eq=False)
-class ParametricFit:
-    """FIR band coefficients fitted to frequency-response samples."""
-
-    band: tuple[int, int]
-    coefficients: np.ndarray  # ascending delay over the band
-
-
 def fit_parametric(samples: np.ndarray, band: tuple[int, int],
-                   grid: FreqGrid | None = None) -> ParametricFit:
+                   grid: FreqGrid | None = None) -> np.ndarray:
     """Fit band coefficients theta to complex samples g(omega) by minimizing
-    sum_omega |sum_d theta_d e^{-j d omega} - g(omega)|^2.
+    sum_omega |sum_d theta_d e^{-j d omega} - g(omega)|^2; returns theta,
+    in ascending delay over the band.
 
     The complex residual is stacked into real and imaginary parts, making
     this an ordinary real least-squares problem with real-valued theta.
@@ -539,5 +533,4 @@ def fit_parametric(samples: np.ndarray, band: tuple[int, int],
     E = np.exp(-1j * np.outer(om, np.arange(d0, d1 + 1)))  # (K, D)
     A = np.vstack([E.real, E.imag])
     y = np.concatenate([samples.real, samples.imag])
-    theta, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    return ParametricFit(band=(d0, d1), coefficients=theta)
+    return np.linalg.lstsq(A, y, rcond=None)[0]

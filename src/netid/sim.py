@@ -15,12 +15,12 @@ fixed and documented so that records are reproducible bit-for-bit:
 2. ``v = rng.standard_normal((L, N)) * sqrt(v_variance)`` - disturbance at
    every node.
 
-The draws are made one row at a time, which yields the same numbers as one
-(L, N) draw.  simulate's on_excitation hook, if given, receives the kept
-rows of r after step 1, scaled, and before step 2; they are final then, so
-a caller may read them on another thread while v is drawn and the network
-is stepped.  The record stores w and the excited rows of r; v goes into w's
-array as the simulated input r + v and is overwritten there.
+r is drawn one row at a time, which yields the same numbers as one (L, N)
+draw, and v in one draw.  simulate's on_excitation hook, if given, receives
+the kept rows of r after step 1, scaled, and before step 2; they are final
+then, so a caller may read them on another thread while v is drawn and the
+network is stepped.  The record stores w and the excited rows of r; v goes
+into w's array as the simulated input r + v and is overwritten there.
 
 Identical (model, spec) therefore yields a bit-identical SignalRecord.
 """
@@ -98,8 +98,7 @@ def simulate(model: NetworkModel, spec: ExcitationSpec,
     r *= np.sqrt(spec.r_variance)
     if on_excitation is not None:
         on_excitation(r)
-    for row in u:
-        rng.standard_normal(out=row)
+    rng.standard_normal(out=u)
     u *= np.sqrt(spec.v_variance)
     for node, row in kept.items():
         u[node - 1] += row

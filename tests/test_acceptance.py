@@ -114,16 +114,16 @@ def test_criterion_4_exact_oracle_equivalence():
             num = model.edge(to, i).num.coeffs
             fit = fit_parametric(src.module_samples(to, i),
                                  (1, len(num) - 1), grid=src.grid)
-            worst = max(worst, np.abs(fit.coefficients - num[1:]).max())
-            fits[(to, i)] = fit.coefficients
+            worst = max(worst, np.abs(fit - num[1:]).max())
+            fits[(to, i)] = fit
         snk = solve_sink_side(tmat, j, model.in_neighbors(j))
         for frm in model.in_neighbors(j):
             num = model.edge(j, frm).num.coeffs
             fit = fit_parametric(snk.module_samples(j, frm),
                                  (1, len(num) - 1), grid=snk.grid)
-            worst = max(worst, np.abs(fit.coefficients - num[1:]).max())
+            worst = max(worst, np.abs(fit - num[1:]).max())
             if (j, frm) in fits:  # the target edge, solved from both sides
-                gap = np.abs(fit.coefficients - fits[(j, frm)]).max()
+                gap = np.abs(fit - fits[(j, frm)]).max()
                 worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and worst_gap < 1e-9 and elapsed < 10.0

@@ -9,17 +9,19 @@ import threading
 import numpy as np
 import pytest
 
-from netid import (ExcitationSpec, NetworkModel, RationalTF, ResultTable,
-                   Scenario, ScenarioFormatError, emit_results,
-                   estimate_T_entries, fit_parametric, load_scenarios,
+from conftest import random_rational_network, random_stable_network
+from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
+                   RationalTF, ResultTable, Scenario, ScenarioFormatError,
+                   emit_results, estimate_T_entries, fit_parametric,
+                   is_internally_stable, load_scenarios,
                    plan_experiment_for_model, read_results,
                    run_local_pipeline, run_monte_carlo, simulate,
                    solve_sink_side, solve_source_side)
 from netid import cli, experiments
 from netid.cli import main
 from netid.experiments import (_worker_count, check_scenario,
-                               default_scenario_file)
-from netid.local import factor_excitation_gram
+                               default_scenario_file, run_direct)
+from netid.local import DEFAULT_FIR_ORDER, factor_excitation_gram
 from netid.model import default_network_file
 
 GOOD_FILE = """\
@@ -187,6 +189,12 @@ class TestScenarioFile:
             Scenario(id="x", excited_nodes=(1,), method="direct",
                      target=(3, 4), runs=1, samples_per_run=10, base_seed=-1)
 
+    def test_empty_excite_set_rejected(self):
+        with pytest.raises(ValueError,
+                           match="scenario x: excited_nodes is empty"):
+            Scenario(id="x", excited_nodes=(), method="direct",
+                     target=(3, 4), runs=1, samples_per_run=10, base_seed=0)
+
 
 class TestMonteCarlo:
     @pytest.fixture()
@@ -215,6 +223,12 @@ class TestMonteCarlo:
     def test_runs_and_samples_override(self, scenario, case_study):
         row = run_monte_carlo(scenario, case_study, runs=2, samples=300)
         assert len(row.runs) == 2
+
+    def test_result_carries_the_counts_it_ran_with(self, scenario,
+                                                   case_study):
+        row = run_monte_carlo(scenario, case_study, runs=2, samples=300)
+        assert (row.scenario.runs, row.scenario.samples_per_run) == (2, 300)
+        assert row.scenario.base_seed == scenario.base_seed
 
     def test_noise_free_run_recovers_exactly(self, case_study):
         scn = Scenario(id="nf", excited_nodes=tuple(range(1, 21)),
@@ -369,27 +383,75 @@ class TestMonteCarlo:
             run_monte_carlo(scn, model)
         assert simulated == []
 
-    @pytest.mark.parametrize("network", ["case_study", "wide_band"])
-    def test_check_agrees_with_the_plan_stage(self, request, network):
-        # a local scenario with the plan's excite set passes check_scenario
-        # exactly when the pipeline gets past [plan], for every edge
-        model = request.getfixturevalue(network)
-        for (j, i), _ in model.edge_items():
-            plan = plan_experiment_for_model(model, (j, i))
-            scn = Scenario(id="p", excited_nodes=plan.excite_set,
-                           method="local", target=(j, i), runs=1,
-                           samples_per_run=10_000, base_seed=0)
-            try:
-                check_scenario(scn, model, 10_000)
-                checked = True
-            except ValueError:
-                checked = False
-            try:
-                run_local_pipeline(model, (j, i), exact_T=True)
-                planned = True
-            except RuntimeError as e:
-                planned = not str(e).startswith("[plan]")
-            assert checked == planned, (j, i)
+    @pytest.mark.parametrize("network", ["case_study", "wide_band",
+                                         "random_stable", "random_rational"])
+    def test_check_agrees_with_the_plan_stage(self, request, monkeypatch,
+                                              network):
+        # check_scenario passes exactly when run 0 gets past [plan] and, for
+        # a direct scenario, leaves its regression as many rows as
+        # parameters; targets and sample counts are drawn from fixed seeds,
+        # the counts near the max delay and near the parameter count, and
+        # only what the batch-only rules accept: a stable model, the plan's
+        # excite set for a local scenario, r_var above 0
+        class Simulated(Exception):
+            pass
+
+        def simulate(*args, **kwargs):
+            raise Simulated
+
+        monkeypatch.setattr(experiments, "simulate", simulate)
+        rng = np.random.default_rng(21)
+        if network.startswith("random"):
+            make = random_stable_network if network == "random_stable" \
+                else random_rational_network
+            models = [make(rng) for _ in range(12)]
+        else:
+            models = [request.getfixturevalue(network)]
+        cases = 0
+        for model in models:
+            assert is_internally_stable(model)
+            edges = [edge for edge, _ in model.edge_items()]
+            for _ in range(96 // len(models)):
+                j, i = edges[rng.integers(len(edges))]
+                method = ("direct", "local")[rng.integers(2)]
+                plan = plan_experiment_for_model(model, (j, i))
+                if method == "local":
+                    excited = plan.excite_set
+                    edge = DEFAULT_FIR_ORDER
+                    n_params = len(excited) * (DEFAULT_FIR_ORDER + 1)
+                else:
+                    excited = tuple(int(k) for k in np.flatnonzero(
+                        rng.random(model.L) < 0.5) + 1) or (j,)
+                    try:
+                        structure = DirectModelStructure.from_model(model, j)
+                        edge = structure.max_delay
+                        n_params = structure.slices()[-1].stop
+                    except ValueError:  # a rational module into j
+                        edge, n_params = 2, 3
+                samples = max(1, int(rng.choice(
+                    [edge, edge + n_params]) + rng.integers(-1, 2)))
+                scn = Scenario(id="p", excited_nodes=excited, method=method,
+                               target=(j, i), runs=1, samples_per_run=samples,
+                               base_seed=0)
+                try:
+                    check_scenario(scn, model, samples)
+                    checked = True
+                except ValueError:
+                    checked = False
+                with pytest.raises(RuntimeError) as run:
+                    if method == "direct":
+                        run_direct(model, scn, samples, scn.base_seed)
+                    else:
+                        run_local_pipeline(model, (j, i), samples=samples,
+                                           seed=scn.base_seed)
+                planned = isinstance(run.value.__cause__, Simulated)
+                assert planned or str(run.value).startswith("[plan]")
+                if planned and method == "direct":
+                    planned = samples - edge >= n_params
+                assert checked == planned, (model.edge_items(), method,
+                                            (j, i), samples)
+                cases += checked
+        assert cases > 0
 
     def test_local_scenario_with_rational_sibling_accepted(self,
                                                            case_study):
@@ -488,7 +550,7 @@ class TestLocalPipeline:
             solved = solve_sink_side(tmat.freq, j, plan.excite_set)
         fit = fit_parametric(solved.module_samples(j, i), est.band,
                              grid=solved.grid)
-        assert est.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert est.coefficients.tobytes() == fit.tobytes()
         assert est.entry_fit_scores == tmat.entry_fit_scores()
         assert est.dropped_points == solved.dropped_points
         assert len(threads) == 1  # the series estimate factored in line
@@ -651,6 +713,29 @@ class TestCLI:
         assert main(["truth", "--grid-points", "16", "--out", str(out)]) == 0
         assert (out / "truth.csv").exists()
 
+    def test_simulate_takes_excitation_from_the_scenario(self, tmp_path,
+                                                         capsys, case_study):
+        scn = tmp_path / "s.scn"
+        scn.write_text("format 1\nscenario s\n  excite 5 2\n  method direct\n"
+                       "  target 3 4\n  runs 1\n  samples 100\n  seed 0\n"
+                       "  r_var 4.0\n  v_var 0.0\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scn), "--samples", "50",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert "(excited 2,5, seed 3)" in capsys.readouterr().out
+        rec = simulate(case_study, ExcitationSpec(
+            (2, 5), N=50, seed=3, r_variance=4.0, v_variance=0.0))
+        rows = (out / "signals.csv").read_text().splitlines()[1:]
+        assert rows == [",".join([str(t)] + [repr(float(x))
+                                             for x in rec.w[:, t]])
+                        for t in range(50)]
+
+    def test_report_has_no_network_option(self, tmp_path):
+        # report reads results.csv and never loads a network
+        with pytest.raises(SystemExit):
+            main(["report", "--network", str(default_network_file()),
+                  "--out", str(tmp_path)])
+
     def test_network_flag_loads_custom_file(self, tmp_path, capsys):
         assert main(["local", "--exact-t", "--network",
                      str(default_network_file())]) == 0
@@ -696,6 +781,32 @@ class TestCLI:
         assert simulated == []
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["direct", "--seed", "-1"],
+                                      ["local", "--seed", "-2"]],
+                             ids=["direct", "local"])
+    def test_negative_seed_fails_at_plan(self, capsys, monkeypatch, argv):
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: [plan] seed must be >= 0, got {argv[-1]}")
+        assert simulated == []
+
+    @pytest.mark.parametrize("option, value, problem", [
+        ("--runs", "-1", "runs must be >= 1"),
+        ("--samples", "-3", "sample count must be >= 1")],
+        ids=["runs", "samples"])
+    def test_montecarlo_bad_count_names_the_scenario(self, tmp_path, capsys,
+                                                     option, value, problem):
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", "1", option, value, "--out",
+                   str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: scenario 1: {problem}")
+        assert not out.exists()
+
     def test_simulate_negative_seed_names_it(self, tmp_path, capsys,
                                              monkeypatch):
         simulated = []
@@ -737,6 +848,39 @@ class TestCLI:
         assert ("scenario 1: record too short: 2 samples <= max delay 2"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_montecarlo_fewer_rows_than_parameters_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # 3 samples leave node 3's regression 1 row for its 7 parameters:
+        # every run would report a minimum-norm estimate
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", "1", "--runs", "2",
+                   "--samples", "3", "--out", str(out)])
+        assert rc == 1
+        assert ("scenario 1: record too short: 1 regression rows < 7 "
+                "parameters" in capsys.readouterr().err)
+        assert simulated == []
+        assert not out.exists()
+
+    def test_local_batch_csv_same_at_one_and_four_workers(self, tmp_path,
+                                                          monkeypatch):
+        scn = tmp_path / "local.scn"
+        scn.write_text("format 1\nscenario loc\n  excite 3 4 5 6\n"
+                       "  method local\n  target 3 4\n  runs 3\n"
+                       "  samples 2000\n  seed 0\n")
+        csvs = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv("NETID_WORKERS", workers)
+            out = tmp_path / workers
+            assert main(["montecarlo", "--scenario", str(scn), "--out",
+                         str(out)]) == 0
+            csvs.append((out / "results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].count(b"\nloc,") == 3
+        assert b"nan" not in csvs[0]
 
     def test_report_prints_the_montecarlo_summary(self, tmp_path, capsys,
                                                   monkeypatch):

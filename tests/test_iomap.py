@@ -192,6 +192,13 @@ class TestInternalStability:
         m = NetworkModel(2, {(2, 1): RationalTF([0.0, 1.0], [1.0, -1.0])})
         assert not is_internally_stable(m)
 
+    def test_network_without_states_is_stable(self):
+        # static modules own no states, so the realization's A is empty
+        m = NetworkModel(3, {(2, 1): RationalTF([0.5]),
+                             (3, 2): RationalTF([-2.0])})
+        assert m.realization[0].size == 0
+        assert is_internally_stable(m)
+
     def test_slow_stable_loop(self):
         # closed-loop poles +-0.995: stable, but too slow for an impulse
         # response to decay below 1e-8 within 2000 samples

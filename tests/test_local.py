@@ -394,15 +394,15 @@ class TestFitParametric:
         om = FreqGrid.uniform(100).as_array()
         samples = -0.3 * np.exp(-1j * om) + 0.8 * np.exp(-2j * om)
         fit = fit_parametric(samples, (1, 2))
-        assert np.allclose(fit.coefficients, [-0.3, 0.8], atol=1e-12)
-        a1, a2 = fit.coefficients
+        assert np.allclose(fit, [-0.3, 0.8], atol=1e-12)
+        a1, a2 = fit
         resid = a1 * np.exp(-1j * om) + a2 * np.exp(-2j * om) - samples
         residual_rms = np.sqrt(np.mean(resid.real ** 2 + resid.imag ** 2) / 2)
         assert residual_rms < 1e-12
 
     def test_zero_samples_give_zero(self):
         fit = fit_parametric(np.zeros(50, dtype=complex), (0, 3))
-        assert np.allclose(fit.coefficients, 0.0)
+        assert np.allclose(fit, 0.0)
 
     def test_under_determined_rejected(self):
         with pytest.raises(ValueError, match="under-determined"):
@@ -421,7 +421,7 @@ class TestFitParametric:
         om = FreqGrid.uniform(40).as_array()
         samples = 0.7 + 0.0j * om
         fit = fit_parametric(samples, (0, 0))
-        assert np.allclose(fit.coefficients, [0.7], atol=1e-12)
+        assert np.allclose(fit, [0.7], atol=1e-12)
 
 
 class TestRandomNetworkRecovery:
@@ -440,7 +440,7 @@ class TestRandomNetworkRecovery:
                 true_num = model.edge(to_node, i).num.coeffs
                 fit = fit_parametric(src.module_samples(to_node, i),
                                      (1, len(true_num) - 1), grid=src.grid)
-                assert np.allclose(fit.coefficients, true_num[1:], atol=1e-8)
+                assert np.allclose(fit, true_num[1:], atol=1e-8)
 
             in_nbrs = model.in_neighbors(j)
             snk = solve_sink_side(
@@ -449,7 +449,7 @@ class TestRandomNetworkRecovery:
                 true_num = model.edge(j, from_node).num.coeffs
                 fit = fit_parametric(snk.module_samples(j, from_node),
                                      (1, len(true_num) - 1), grid=snk.grid)
-                assert np.allclose(fit.coefficients, true_num[1:], atol=1e-8)
+                assert np.allclose(fit, true_num[1:], atol=1e-8)
 
     def test_exact_T_solves_recover_rational_modules(self):
         # the per-frequency solves assume nothing about the modules: on

@@ -85,4 +85,5 @@ def test_memory_script_runs():
     for row in rows:
         assert row["samples"] == 2000
         assert row["rss_mb"] > 0 and row["best_ms"] > 0
+        assert row["rss_range_mb"] == [row["rss_mb"]] * 2  # one probe
         assert row["peak_above_inputs_mb"] >= 0

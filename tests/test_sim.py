@@ -212,8 +212,8 @@ def small_chunks(monkeypatch):
 class TestChunks:
     """The chunked kernel against the per-sample recursion with chunks of
     at most 50 samples: N = 49 and 50 are one chunk, 51 two (26 and 25
-    samples), 97 two whose block lengths differ (isqrt(49) = 7, isqrt(48)
-    = 6), and 400 eight."""
+    samples), 97 two (49 and 48) whose isqrt differ, so the 48-sample chunk
+    takes the longest chunk's block length isqrt(49) = 7, and 400 eight."""
 
     @pytest.mark.parametrize("N", [1, 2, 37, 49, 50, 51, 97, 400])
     def test_matches_reference_recursion(self, case_study, small_chunks, N):
