@@ -24,10 +24,12 @@ does not see numpy.linalg's own work buffers, such as the Fortran-order
 copy of the regressor that lstsq makes, so each row also reports rss_mb:
 the peak resident set size (ru_maxrss) of a fresh interpreter that imports
 netid, builds the case study's realization, makes the layer's inputs and
-calls the layer once; so it includes the import, and the estimators' rows
+calls the layer twice; so it includes the import, and the estimators' rows
 include the simulate call that makes their record.  rss_mb is the median
 of min(3, --repeat) such probes, and rss_range_mb their lowest and highest,
-since a single probe can be off by a few MB.  Each layer also
+since a single probe can be off by a few MB.  minor_faults is the median
+over the same probes of the minor page faults (ru_minflt) that the second
+call took: the pages a repeated call faults in afresh.  Each layer also
 reports its best wall time over --repeat untraced calls.  BLAS is held to
 one thread, as in perfbench.  Standard output gets one JSON object with the
 machine facts (perfbench/facts.py) and one row per layer and record length.
@@ -106,15 +108,16 @@ def layer_call(model, layer: str, N: int, target=None):
     return lambda: estimate_direct(record, structure)
 
 
-def rss_mb(layer: str, N: int, target=None) -> float:
-    """Peak RSS in MB of a fresh interpreter that makes one layer call."""
+def rss_probe(layer: str, N: int, target=None) -> dict:
+    """rss_mb, the peak RSS in MB of a fresh interpreter that calls the
+    layer twice, and minor_faults, the minor faults of the second call."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--rss-probe",
            layer, "--samples", str(N)]
     if target is not None:
         cmd += ["--target", ",".join(map(str, target))]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           timeout=600, check=True)
-    return float(json.loads(done.stdout.splitlines()[-1])["rss_mb"])
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
@@ -131,9 +134,11 @@ def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
             row["record_mb"] = round(held, 2)
         del out
         row["peak_above_inputs_mb"] = round(peak, 2)
-        probes = rss[layer, N, target]
+        probes = [p["rss_mb"] for p in rss[layer, N, target]]
         row["rss_mb"] = round(statistics.median(probes), 2)
         row["rss_range_mb"] = [round(min(probes), 2), round(max(probes), 2)]
+        row["minor_faults"] = statistics.median(
+            p["minor_faults"] for p in rss[layer, N, target])
         row["best_ms"] = round(best_ms(call, repeat), 2)
         rows.append(row)
     return rows
@@ -152,14 +157,18 @@ def main(argv=None) -> int:
     model = netid.build_case_study()
     if args.rss_probe:
         target = args.target and tuple(map(int, args.target.split(",")))
-        layer_call(model, args.rss_probe, args.samples[0], target)()
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps({"rss_mb": peak}))
+        call = layer_call(model, args.rss_probe, args.samples[0], target)
+        call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        print(json.dumps({"rss_mb": usage.ru_maxrss / 1024.0,
+                          "minor_faults": usage.ru_minflt - before}))
         return 0
     # Linux carries a parent's peak RSS into its child's ru_maxrss, across
     # fork and exec, so the probes run while this process holds only its
     # imports, less than any probe holds.
-    rss = {(layer, N, target): [rss_mb(layer, N, target)
+    rss = {(layer, N, target): [rss_probe(layer, N, target)
                                 for _ in range(min(3, args.repeat))]
            for N in args.samples for layer, target in LAYERS}
     for layer, target in LAYERS:  # lazy set-up, such as the realization

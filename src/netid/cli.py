@@ -54,6 +54,16 @@ def _select_scenarios(value: str | None) -> list[Scenario]:
     return scenarios
 
 
+def _one_scenario(value: str, command: str) -> Scenario:
+    """The one scenario that --scenario names, for a command that runs one."""
+    scenarios = _select_scenarios(value)
+    if len(scenarios) > 1:
+        ids = ", ".join(s.id for s in scenarios)
+        raise ValueError(f"scenario file {value} holds {len(scenarios)} "
+                         f"scenarios ({ids}); 'netid {command}' takes one")
+    return scenarios[0]
+
+
 def _parse_target(text: str) -> tuple[int, int]:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
@@ -64,12 +74,16 @@ def _parse_target(text: str) -> tuple[int, int]:
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
     if args.scenario is not None:
-        scn = _select_scenarios(args.scenario)[0]
+        scn = _one_scenario(args.scenario, "simulate")
         excited, r_var, v_var = scn.excited_nodes, scn.r_var, scn.v_var
+        samples, seed = scn.samples_per_run, scn.base_seed
     else:
         excited, r_var, v_var = tuple(range(1, model.L + 1)), 1.0, 1e-6
-    spec = ExcitationSpec(excited, N=args.samples, seed=args.seed,
-                          r_variance=r_var, v_variance=v_var)
+        samples, seed = 10_000, 0
+    spec = ExcitationSpec(
+        excited, N=samples if args.samples is None else args.samples,
+        seed=seed if args.seed is None else args.seed, r_variance=r_var,
+        v_variance=v_var)
     record = simulate(model, spec)
     path = write_csv(args.out, "signals.csv",
                      ["t"] + [f"w{j}" for j in range(1, model.L + 1)],
@@ -83,7 +97,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_direct(args) -> int:
     model = _load_model(args)
-    scn = _select_scenarios(args.scenario)[0]
+    scn = _one_scenario(args.scenario, "direct")
     samples = args.samples if args.samples is not None else scn.samples_per_run
     seed = args.seed if args.seed is not None else scn.base_seed
     if scn.method != "direct":
@@ -210,8 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulate the network and dump signals")
     p.add_argument("--scenario", metavar="FILE|ID", default=None,
                    help="take excitation set and variances from a scenario")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count (default: the scenario's, or 10000)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed (default: the scenario's base seed, or 0)")
     p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_simulate)
 

@@ -23,10 +23,10 @@ w = M (c + u), M = (I - D0)^-1, into x(t+1) = Ax x + Bx w, c = Cx x gives
 Chunked, lifted recursion: the record is cut into ceil(N / _CHUNK) chunks
 whose lengths differ by at most one sample, each walked in turn from the
 state the one before left (zero for the first).  Once a chunk's states are
-known, w = C x + D u overwrites the chunk's u in place, in products of
-_OUT_BLOCK samples; later chunks' u is still untouched.  One block length,
-K = isqrt of the longest chunk's length, serves every chunk of a call, so H
-and A^K below are built once; a chunk of Nc samples from sample s is cut
+known, w = D u + C x overwrites the chunk's u in place, through one buffer
+of _OUT_BLOCK samples; later chunks' u is still untouched.  One block
+length, K = isqrt of the longest chunk's length, serves every chunk of a
+call, so H and A^K are built once; a chunk of Nc samples from sample s is cut
 into P = ceil(Nc/K) blocks.  As chunk lengths differ by at most one, K is
 isqrt(Nc) unless the longest is a perfect square beside a shorter chunk
 (N = 19,999).  Chunk and block lengths, and so the bits, depend on N alone.
@@ -43,9 +43,9 @@ With S_m = x(s + mK) the state at block m's first sample:
 That is N (n^2 + 2 L n) multiply-adds in about K + P calls in place of N:
 about 200 per 1e4-sample chunk, (100, 35) x (35, 35) on the case study.
 _CHUNK keeps a 1e4-sample run in one chunk.  Working memory is O(_CHUNK),
-not O(N): one (P K, n) state array that every chunk reuses, H and the
-(L, _OUT_BLOCK) terms of w, 3.8 MiB on the case study at 1e4 samples and at
-1e5 (tracemalloc), H's 0.5 MiB of it.
+not O(N), and allocated once per call: H, and one (P K, n) state array and
+the (L, _OUT_BLOCK) output buffer that every chunk reuses, 3.7 MiB on the
+case study at 1e4 samples and at 1e5 (tracemalloc), H's 0.5 MiB of it.
 
 Only the states reachable from the nodes where u is ever nonzero are
 stepped (the closure of those columns of B under A's nonzero pattern).  The
@@ -71,7 +71,7 @@ import numpy as np
 #: is one chunk, and a longer record is cut into the fewest chunks whose
 #: lengths differ by at most one sample.
 _CHUNK = 10_000
-#: Samples per product of w = C x + D u, which keeps its temporaries small.
+#: Samples per product of w = D u + C x: the width of the output buffer.
 _OUT_BLOCK = 1024
 
 
@@ -129,6 +129,7 @@ def sim_loop_numpy(A, B, C, D, u):
     top = -(-N // chunks)               # the first chunk is the longest
     K = math.isqrt(top)
     Xbuf = np.empty((top + K, n))
+    wbuf = np.empty((L, _OUT_BLOCK))   # w = D u + C x, block by block
     # blow-ups are reported through the bad-sample return value, so silence
     # the overflow warnings the final diverging samples would emit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,10 +166,11 @@ def sim_loop_numpy(A, B, C, D, u):
             x = X[e - s - 1] @ AT + u[:, -1] @ BT
             for a in range(s, e, _OUT_BLOCK):
                 b = min(a + _OUT_BLOCK, e)
-                w[:, a:b] = C @ X[a - s:b - s].T + D @ w[:, a:b]
-                finite = np.isfinite(w[:, a:b]).all(axis=0)
-                if not finite.all():
-                    t = a + int(np.argmin(finite))
-                    w[:, t + 1:] = 0.0
-                    return w, t
+                out = np.matmul(D, w[:, a:b], out=wbuf[:, :b - a])
+                out += C @ X[a - s:b - s].T
+                w[:, a:b] = out
+            if not np.isfinite(w[:, s:e]).all():
+                t = s + int(np.argmin(np.isfinite(w[:, s:e]).all(axis=0)))
+                w[:, t + 1:] = 0.0
+                return w, t
     return w, -1

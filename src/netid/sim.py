@@ -23,10 +23,15 @@ network is stepped.  The record stores w and the excited rows of r; v goes
 into w's array as the simulated input r + v and is overwritten there.
 
 Identical (model, spec) therefore yields a bit-identical SignalRecord.
+
+The first simulation in a process has glibc's malloc keep freed memory, up
+to the process's peak, for the next run to reuse without page faults.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from typing import Callable
 
 import numpy as np
@@ -42,6 +47,18 @@ class SimulationDiverged(RuntimeError):
         super().__init__(f"simulation diverged: first non-finite value at "
                          f"sample {sample}")
         self.sample = sample
+
+
+@functools.cache
+def _hold_freed_memory() -> bool:
+    """Set M_MMAP_THRESHOLD (-3) to glibc's maximum, 32 MiB, so blocks come
+    from the heap, and M_TRIM_THRESHOLD (-1) to 256 MiB, so freed heap stays;
+    False, having done nothing, where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    return all([mallopt(-3, 32 * 2**20), mallopt(-1, 256 * 2**20)])
 
 
 def _record(model: NetworkModel, u: np.ndarray, r: np.ndarray,
@@ -61,6 +78,7 @@ def simulate_inputs(model: NetworkModel, r: np.ndarray, v: np.ndarray | None = N
     node listed as excited.  Raises SimulationDiverged at the first
     non-finite sample.
     """
+    _hold_freed_memory()   # before the run's first array, the record
     r = np.ascontiguousarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != model.L:
         raise ValueError(f"r must be ({model.L}, N), got {r.shape}")
@@ -87,6 +105,7 @@ def simulate(model: NetworkModel, spec: ExcitationSpec,
     for n in spec.excited_nodes:
         if n > model.L:
             raise ValueError(f"excited node {n} outside 1..{model.L}")
+    _hold_freed_memory()   # before the run's first array, the record
     L, N, excited = model.L, spec.N, spec.excited_nodes
     rng = np.random.default_rng(spec.seed)
     r = np.empty((len(excited), N))

@@ -730,6 +730,33 @@ class TestCLI:
                                              for x in rec.w[:, t]])
                         for t in range(50)]
 
+    def test_simulate_takes_samples_and_seed_from_the_scenario(
+            self, tmp_path, capsys, case_study):
+        scn = tmp_path / "s.scn"
+        scn.write_text("format 1\nscenario s\n  excite 4\n  method direct\n"
+                       "  target 3 4\n  runs 1\n  samples 30\n  seed 7\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scn), "--out",
+                     str(out)]) == 0
+        assert "x 30 samples (excited 4, seed 7)" in capsys.readouterr().out
+        rec = simulate(case_study, ExcitationSpec((4,), N=30, seed=7))
+        rows = (out / "signals.csv").read_text().splitlines()[1:]
+        assert rows == [",".join([str(t)] + [repr(float(x))
+                                             for x in rec.w[:, t]])
+                        for t in range(30)]
+
+    @pytest.mark.parametrize("command", ["direct", "simulate"])
+    def test_one_scenario_commands_reject_a_file_of_several(
+            self, tmp_path, capsys, monkeypatch, command):
+        scn = tmp_path / "two.scn"
+        scn.write_text(GOOD_FILE)
+        monkeypatch.chdir(tmp_path)  # where simulate would write netid-out
+        assert main([command, "--scenario", str(scn)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario file {scn} holds 2 scenarios (a, b); "
+            f"'netid {command}' takes one\n")
+        assert not (tmp_path / "netid-out").exists()
+
     def test_report_has_no_network_option(self, tmp_path):
         # report reads results.csv and never loads a network
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Working memory of the record-length path: at 10^5 samples, simulate, the
 T-entry regression and the direct solve hold no temporary the length of the
-record, and a record holds w and only the excited rows of r."""
+record, and a record holds w and only the excited rows of r; the scripts
+that measure memory and page faults run."""
 
 import json
 import subprocess
@@ -87,3 +88,16 @@ def test_memory_script_runs():
         assert row["rss_mb"] > 0 and row["best_ms"] > 0
         assert row["rss_range_mb"] == [row["rss_mb"]] * 2  # one probe
         assert row["peak_above_inputs_mb"] >= 0
+        assert row["minor_faults"] >= 0
+
+
+def test_faults_script_runs():
+    # the script calls perfbench's workload units, which no other test does
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "faults.py"), "--units",
+         "1"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    assert out["units"] == 1
+    for workload in ("direct_mc", "local_pipeline", "long_record"):
+        assert len(out[workload]) == 1 and out[workload][0] >= 0

@@ -1,12 +1,16 @@
 """Simulator: kernel vs reference recursion, randomness contract,
-divergence handling, impulse responses against the spectral oracle."""
+divergence handling, impulse responses against the spectral oracle, page
+faults of a repeated run."""
+
+import resource
 
 import numpy as np
 import pytest
 
-from netid import (ExcitationSpec, NetworkModel, RationalTF,
-                   SimulationDiverged, simulate, simulate_inputs)
-from netid import kernels
+from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
+                   RationalTF, SimulationDiverged, estimate_direct, simulate,
+                   simulate_inputs)
+from netid import kernels, sim
 
 from conftest import make_two_node_loop, random_rational_network
 from oracles import draw_inputs, impulse_response, true_T_impulse
@@ -337,6 +341,18 @@ class TestDivergence:
             simulate_inputs(m, r)
         assert 0 <= bad_ref - exc.value.sample <= delay - 1
 
+    def test_kernel_output_is_finite_before_bad_and_zero_after(self):
+        # bad lies in the fifth chunk, past its first output block, so the
+        # blocks before it in that chunk are written before it is found
+        m = make_two_node_loop(1.05, 1.05, delay=3)
+        r = np.zeros((2, 50_000))
+        r[0, 0] = 1.0
+        w, bad = kernels.sim_loop_numpy(*m.realization, r)
+        assert 4 * kernels._CHUNK + kernels._OUT_BLOCK <= bad
+        assert np.isfinite(w[:, :bad]).all()
+        assert not np.isfinite(w[:, bad]).all()
+        assert (w[:, bad + 1:] == 0).all()
+
     def test_unexcited_unstable_part_does_not_diverge(self):
         # The loop (3,4), (4,3) has spectral radius 1e4, so A^K overflows,
         # but an impulse on node 1 never reaches it: its states stay exactly
@@ -355,6 +371,19 @@ class TestDivergence:
         m = make_two_node_loop(0.5, 0.5)
         rec = simulate(m, ExcitationSpec([1, 2], N=500, seed=0))
         assert np.all(np.isfinite(rec.w))
+
+
+def test_repeated_run_does_not_refault_its_memory(case_study):
+    # with glibc holding freed memory, a run reuses the pages of the one
+    # before it; without, this run takes about 1,700 minor faults
+    if not sim._hold_freed_memory():
+        pytest.skip("libc has no mallopt")
+    spec = ExcitationSpec(range(1, case_study.L + 1), N=10_000, seed=5)
+    structure = DirectModelStructure.from_model(case_study, 3)
+    estimate_direct(simulate(case_study, spec), structure)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimate_direct(simulate(case_study, spec), structure)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestImpulseResponse:
