@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/memory.py [--samples 10000 100000] [--repeat 7] \
+    python3 benchmarks/memory.py [--samples 10000 100000] [--repeat 3] \
         > memory.json
 
 On long_record's targets (perfbench/workloads.py), for each record length:
@@ -26,13 +26,15 @@ the peak resident set size (ru_maxrss) of a fresh interpreter that imports
 netid, builds the case study's realization, makes the layer's inputs and
 calls the layer twice; so it includes the import, and the estimators' rows
 include the simulate call that makes their record.  rss_mb is the median
-of min(3, --repeat) such probes, and rss_range_mb their lowest and highest,
-since a single probe can be off by a few MB.  minor_faults is the median
-over the same probes of the minor page faults (ru_minflt) that the second
-call took: the pages a repeated call faults in afresh.  Each layer also
-reports its best wall time over --repeat untraced calls.  BLAS is held to
-one thread, as in perfbench.  Standard output gets one JSON object with the
-machine facts (perfbench/facts.py) and one row per layer and record length.
+of --repeat such probes, and rss_range_mb their lowest and highest, since a
+single probe can be off by a few MB.  Over the same probes, minor_faults
+is the median of the minor page faults (ru_minflt) that the second call
+took, the pages a repeated call faults in afresh, and call_ms the median
+wall time of that second call, with call_range_ms its lowest and highest.
+Each probe is a fresh process, so no call is timed after other layers
+have run in the same heap.  BLAS is held to one thread, as in perfbench.
+Standard output gets one JSON object with the machine facts
+(perfbench/facts.py) and one row per layer and record length.
 """
 
 from __future__ import annotations
@@ -82,15 +84,6 @@ def traced_peak_mb(fn) -> tuple[float, object]:
     return (peak - start) / 2**20, out
 
 
-def best_ms(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
-
-
 def layer_call(model, layer: str, N: int, target=None):
     """Make the layer's inputs and return the call that is measured."""
     if layer == "estimate_T_entries":
@@ -110,7 +103,8 @@ def layer_call(model, layer: str, N: int, target=None):
 
 def rss_probe(layer: str, N: int, target=None) -> dict:
     """rss_mb, the peak RSS in MB of a fresh interpreter that calls the
-    layer twice, and minor_faults, the minor faults of the second call."""
+    layer twice, and minor_faults and call_ms, the minor faults and the
+    wall time in ms of the second call."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--rss-probe",
            layer, "--samples", str(N)]
     if target is not None:
@@ -120,7 +114,7 @@ def rss_probe(layer: str, N: int, target=None) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
+def layer_rows(model, N: int, rss: dict) -> list[dict]:
     rows = []
     for layer, target in LAYERS:
         call = layer_call(model, layer, N, target)
@@ -134,12 +128,14 @@ def layer_rows(model, N: int, repeat: int, rss: dict) -> list[dict]:
             row["record_mb"] = round(held, 2)
         del out
         row["peak_above_inputs_mb"] = round(peak, 2)
-        probes = [p["rss_mb"] for p in rss[layer, N, target]]
-        row["rss_mb"] = round(statistics.median(probes), 2)
-        row["rss_range_mb"] = [round(min(probes), 2), round(max(probes), 2)]
+        probes = rss[layer, N, target]
+        for key, span in (("rss_mb", "rss_range_mb"),
+                          ("call_ms", "call_range_ms")):
+            values = [p[key] for p in probes]
+            row[key] = round(statistics.median(values), 2)
+            row[span] = [round(min(values), 2), round(max(values), 2)]
         row["minor_faults"] = statistics.median(
-            p["minor_faults"] for p in rss[layer, N, target])
-        row["best_ms"] = round(best_ms(call, repeat), 2)
+            p["minor_faults"] for p in probes)
         rows.append(row)
     return rows
 
@@ -148,7 +144,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--samples", type=int, nargs="+",
                    default=[10_000, 100_000])
-    p.add_argument("--repeat", type=int, default=7)
+    p.add_argument("--repeat", type=int, default=3,
+                   help="fresh-process probes per layer and record length")
     p.add_argument("--rss-probe", help=argparse.SUPPRESS)
     p.add_argument("--target", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -160,22 +157,25 @@ def main(argv=None) -> int:
         call = layer_call(model, args.rss_probe, args.samples[0], target)
         call()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
         call()
+        call_ms = (time.perf_counter() - t0) * 1e3
         usage = resource.getrusage(resource.RUSAGE_SELF)
         print(json.dumps({"rss_mb": usage.ru_maxrss / 1024.0,
-                          "minor_faults": usage.ru_minflt - before}))
+                          "minor_faults": usage.ru_minflt - before,
+                          "call_ms": call_ms}))
         return 0
     # Linux carries a parent's peak RSS into its child's ru_maxrss, across
     # fork and exec, so the probes run while this process holds only its
     # imports, less than any probe holds.
     rss = {(layer, N, target): [rss_probe(layer, N, target)
-                                for _ in range(min(3, args.repeat))]
+                                for _ in range(args.repeat)]
            for N in args.samples for layer, target in LAYERS}
     for layer, target in LAYERS:  # lazy set-up, such as the realization
         layer_call(model, layer, 2_000, target)()
     rows = []
     for N in args.samples:
-        rows += layer_rows(model, N, args.repeat, rss)
+        rows += layer_rows(model, N, rss)
         for row in rows[-4:]:
             print(json.dumps(row), file=sys.stderr, flush=True)
     print(json.dumps({"machine": machine_facts(ROOT, 1, 1), "repeat":

@@ -54,14 +54,18 @@ def _select_scenarios(value: str | None) -> list[Scenario]:
     return scenarios
 
 
-def _one_scenario(value: str, command: str) -> Scenario:
-    """The one scenario that --scenario names, for a command that runs one."""
-    scenarios = _select_scenarios(value)
+def _one_scenario(args, command: str) -> Scenario:
+    """The one scenario that --scenario names, for a command that runs one,
+    with --samples, when given, as its sample count."""
+    scenarios = _select_scenarios(args.scenario)
     if len(scenarios) > 1:
         ids = ", ".join(s.id for s in scenarios)
-        raise ValueError(f"scenario file {value} holds {len(scenarios)} "
-                         f"scenarios ({ids}); 'netid {command}' takes one")
-    return scenarios[0]
+        raise ValueError(f"scenario file {args.scenario} holds "
+                         f"{len(scenarios)} scenarios ({ids}); "
+                         f"'netid {command}' takes one")
+    if args.samples is None:
+        return scenarios[0]
+    return dataclasses.replace(scenarios[0], samples_per_run=args.samples)
 
 
 def _parse_target(text: str) -> tuple[int, int]:
@@ -74,40 +78,36 @@ def _parse_target(text: str) -> tuple[int, int]:
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
     if args.scenario is not None:
-        scn = _one_scenario(args.scenario, "simulate")
-        excited, r_var, v_var = scn.excited_nodes, scn.r_var, scn.v_var
-        samples, seed = scn.samples_per_run, scn.base_seed
+        scn = _one_scenario(args, "simulate")
+        spec = scn.excitation(scn.base_seed if args.seed is None
+                              else args.seed)
     else:
-        excited, r_var, v_var = tuple(range(1, model.L + 1)), 1.0, 1e-6
-        samples, seed = 10_000, 0
-    spec = ExcitationSpec(
-        excited, N=samples if args.samples is None else args.samples,
-        seed=seed if args.seed is None else args.seed, r_variance=r_var,
-        v_variance=v_var)
+        spec = ExcitationSpec(
+            range(1, model.L + 1),
+            N=10_000 if args.samples is None else args.samples,
+            seed=0 if args.seed is None else args.seed)
     record = simulate(model, spec)
     path = write_csv(args.out, "signals.csv",
                      ["t"] + [f"w{j}" for j in range(1, model.L + 1)],
-                     ([t] + [repr(float(x)) for x in record.w[:, t]]
-                      for t in range(record.N)))
-    print(f"simulated {model.L} nodes x {record.N} samples "
-          f"(excited {','.join(map(str, excited))}, seed {record.seed})")
+                     ([t, *w] for t, w in enumerate(record.w.T)))
+    print(f"simulated {model.L} nodes x {record.N} samples (excited "
+          f"{','.join(map(str, spec.excited_nodes))}, seed {record.seed})")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_direct(args) -> int:
     model = _load_model(args)
-    scn = _one_scenario(args.scenario, "direct")
-    samples = args.samples if args.samples is not None else scn.samples_per_run
+    scn = _one_scenario(args, "direct")
     seed = args.seed if args.seed is not None else scn.base_seed
     if scn.method != "direct":
         raise ValueError(f"scenario {scn.id} has method {scn.method}; "
                          f"'netid direct' runs direct scenarios only")
-    check_scenario(scn, model, samples)
-    est = run_direct(model, scn, samples, seed)
+    check_scenario(scn, model)
+    est = run_direct(model, scn, seed)
     j = est.structure.target_node
     print(f"scenario {scn.id}: direct estimate of modules into node {j} "
-          f"({samples} samples, seed {seed})")
+          f"({scn.samples_per_run} samples, seed {seed})")
     for node in est.structure.regressor_nodes:
         coeffs = ", ".join(f"{c:.6g}" for c in est.coefficients_for(node))
         print(f"  module ({j},{node}): [{coeffs}]")
@@ -176,18 +176,14 @@ def _cmd_truth(args) -> int:
     grid = FreqGrid.uniform(args.grid_points)
     tmat = true_T(model, plan.measure_set, plan.excite_set, grid)
     j, i = target
-    g_true = model.edge(j, i).eval_at(grid.as_array())
-    header = ["omega"]
-    for r in tmat.rows:
-        for c in tmat.cols:
-            header += [f"T_{r}_{c}_re", f"T_{r}_{c}_im"]
-    header += [f"G_{j}_{i}_re", f"G_{j}_{i}_im"]
     om = grid.as_array()
-    path = write_csv(args.out, "truth.csv", header, (
-        [repr(float(om[k]))] + [repr(float(x)) for z in
-                                (*tmat.values[k].ravel(), g_true[k])
-                                for x in (z.real, z.imag)]
-        for k in range(len(om))))
+    g_true = model.edge(j, i).eval_at(om)
+    entries = [f"T_{r}_{c}" for r in tmat.rows for c in tmat.cols]
+    path = write_csv(args.out, "truth.csv", ["omega"] + [
+        f"{name}_{part}" for name in entries + [f"G_{j}_{i}"]
+        for part in ("re", "im")], (
+        [om[k]] + [x for z in (*tmat.values[k].ravel(), g_true[k])
+                   for x in (z.real, z.imag)] for k in range(len(om))))
     print(f"wrote {path} ({len(grid)} frequencies, "
           f"{len(tmat.rows)}x{len(tmat.cols)} T entries)")
     return 0
@@ -218,9 +214,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--network", metavar="FILE", default=None,
                         help="network file (default: shipped 20-node case study)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="netid-out", metavar="DIR")
+    module = argparse.ArgumentParser(add_help=False)
+    module.add_argument("--target", default="3,4", metavar="J,I",
+                        help="module to identify, sink,source (default 3,4)")
+    module.add_argument("--grid-points", type=int,
+                        default=DEFAULT_GRID_POINTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, out],
                        help="simulate the network and dump signals")
     p.add_argument("--scenario", metavar="FILE|ID", default=None,
                    help="take excitation set and variances from a scenario")
@@ -228,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample count (default: the scenario's, or 10000)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed (default: the scenario's base seed, or 0)")
-    p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("direct", parents=[common],
@@ -240,19 +242,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's base seed")
     p.set_defaults(fn=_cmd_direct)
 
-    p = sub.add_parser("local", parents=[common],
+    p = sub.add_parser("local", parents=[common, module],
                        help="local two-step identification of one module")
-    p.add_argument("--target", default="3,4", metavar="J,I",
-                   help="module to identify, sink,source (default 3,4)")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fir-order", type=int, default=DEFAULT_FIR_ORDER)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--exact-t", action="store_true",
                    help="solve from exact T samples (oracle path, no noise)")
     p.set_defaults(fn=_cmd_local)
 
-    p = sub.add_parser("montecarlo", parents=[common],
+    p = sub.add_parser("montecarlo", parents=[common, out],
                        help="Monte-Carlo scenario batches")
     p.add_argument("--scenario", metavar="FILE|ID", default=None,
                    help="scenario file or single id (default: all shipped)")
@@ -262,18 +261,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override samples per run")
     p.add_argument("--seed", type=int, default=None,
                    help="override every scenario's base seed")
-    p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_montecarlo)
 
-    p = sub.add_parser("truth", parents=[common],
+    p = sub.add_parser("truth", parents=[common, module, out],
                        help="exact T/G frequency responses for a target")
-    p.add_argument("--target", default="3,4", metavar="J,I")
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--out", default="netid-out", metavar="DIR")
     p.set_defaults(fn=_cmd_truth)
 
-    p = sub.add_parser("report", help="summarize an emitted results.csv")
-    p.add_argument("--out", default="netid-out", metavar="DIR")
+    p = sub.add_parser("report", parents=[out],
+                       help="summarize an emitted results.csv")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.set_defaults(fn=_cmd_report)
     return parser

@@ -9,12 +9,12 @@ Monte-Carlo study bit-for-bit, local scenarios included: rerunning
 
 Runs execute on a thread pool that returns them in run order, so
 concurrency never affects output.  Threads overlap a run's noise draws and
-FFT and BLAS work, and its simulation kernel only in part: 1.3-1.5x on two
-threads against 1.5-2.0x for simulate with its draws (2-vCPU host, BLAS at
-one thread; see kernels).  While the pool runs, OpenBLAS is held at one
-thread (netid.blas), so that the pool's threads are the compute threads.
-A single local run on the main thread factors its T-entry Gram on a second
-thread (see run_local_pipeline), with bit-identical results.
+FFT and BLAS work, and its simulation kernel's small matrix products only
+in part (two_thread_scaling in benchmarks/BENCH_22.json).  While the pool
+runs, OpenBLAS is held at one thread (netid.blas), so that the pool's
+threads are the compute threads.  A single local run on the main thread
+factors its T-entry Gram on a second thread (see run_local_pipeline), with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ SCENARIO_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible identification experiment.  Its excitation values
-    follow ExcitationSpec's rules; excited_nodes is stored as node_set
-    returns it."""
+    """One reproducible identification experiment, and the one owner of its
+    runs' sample count.  Its excitation values follow ExcitationSpec's
+    rules; excited_nodes is stored as node_set returns it."""
 
     id: str
     excited_nodes: tuple[int, ...]
@@ -71,11 +71,15 @@ class Scenario:
         if not self.excited_nodes:
             raise ValueError(f"scenario {self.id}: excited_nodes is empty")
         try:
-            spec = ExcitationSpec(self.excited_nodes, self.samples_per_run,
-                                  self.base_seed, self.r_var, self.v_var)
+            spec = self.excitation(self.base_seed)
         except ValueError as e:
             raise ValueError(f"scenario {self.id}: {e}") from None
         object.__setattr__(self, "excited_nodes", spec.excited_nodes)
+
+    def excitation(self, seed: int) -> ExcitationSpec:
+        """The excitation of one run of this scenario from `seed`."""
+        return ExcitationSpec(self.excited_nodes, self.samples_per_run, seed,
+                              self.r_var, self.v_var)
 
 
 class ScenarioFormatError(ValueError):
@@ -263,17 +267,17 @@ def _node_list(nodes) -> str:
     return "{" + ",".join(map(str, sorted(nodes))) + "}"
 
 
-def check_scenario(scenario: Scenario, model: NetworkModel,
-                   samples: int) -> None:
+def check_scenario(scenario: Scenario, model: NetworkModel) -> None:
     """Raise, naming the problem, for a scenario that every run would fail
     the same way: a target module or excited node the model lacks, an
-    unstable model, a rational target, or runs of `samples` samples that
+    unstable model, a rational target, or runs of its sample count that
     leave the estimator's regression fewer rows than parameters (for a
     local scenario, the T-entry regression of the default FIR order).  A
     local scenario's excite set must also be its plan's, since the plan
     decides what a local run excites, its r_var above zero, and its
     target's band no wider than the default grid."""
     j, i = scenario.target
+    samples = scenario.samples_per_run
     try:
         if not model.has_edge(j, i):
             raise ValueError(f"target module ({j},{i}) is not an edge of "
@@ -317,16 +321,14 @@ def _stage(name: str, fn, *args, **kwargs):
         raise RuntimeError(f"[{name}] {e}") from e
 
 
-def run_direct(model: NetworkModel, scenario: Scenario, samples: int,
+def run_direct(model: NetworkModel, scenario: Scenario,
                seed: int) -> DirectEstimate:
     """One direct-method run of `scenario`: plan the target node's regressor
-    structure, simulate `samples` samples of its excitation from `seed`, and
-    estimate; a stage error is re-raised with the stage name prefixed."""
+    structure, simulate the scenario's excitation from `seed`, and estimate;
+    a stage error is re-raised with the stage name prefixed."""
     structure = _stage("plan", DirectModelStructure.from_model, model,
                        scenario.target[0])
-    spec = _stage("plan", ExcitationSpec, scenario.excited_nodes, N=samples,
-                  seed=seed, r_variance=scenario.r_var,
-                  v_variance=scenario.v_var)
+    spec = _stage("plan", scenario.excitation, seed)
     record = _stage("simulate", simulate, model, spec)
     return _stage("estimate", estimate_direct, record, structure)
 
@@ -348,8 +350,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
         scenario, runs=scenario.runs if runs is None else runs,
         samples_per_run=scenario.samples_per_run if samples is None
         else samples)
-    n_samples = scenario.samples_per_run
-    check_scenario(scenario, model, n_samples)
+    check_scenario(scenario, model)
     j, i = scenario.target
     band = model.fir_band(j, i)
     if band[1] != band[0] + 1:
@@ -361,12 +362,13 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
         seed = scenario.base_seed + k
         try:
             if scenario.method == "direct":
-                est = run_direct(model, scenario, n_samples, seed)
+                est = run_direct(model, scenario, seed)
                 coeffs = est.coefficients_for(i)
                 informative = est.informative
             else:
                 est = run_local_pipeline(
-                    model, scenario.target, samples=n_samples, seed=seed,
+                    model, scenario.target,
+                    samples=scenario.samples_per_run, seed=seed,
                     r_var=scenario.r_var, v_var=scenario.v_var)
                 coeffs, informative = est.coefficients, est.dropped_points == 0
         except Exception as e:  # recorded, not fatal
@@ -497,20 +499,18 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
 CSV_HEADER = ("scenario_id", "run", "a1", "a2", "informative")
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(out_dir, name: str, header, rows) -> Path:
     """Write the header and rows to `out_dir/name`, creating out_dir, with
-    "\n" line ends; returns the path."""
+    "\n" line ends and each float as repr(float(x)), the shortest decimal
+    that reads back to the same double; returns the path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x
+                          for x in row] for row in rows)
     return path
 
 
@@ -525,7 +525,7 @@ def emit_results(table: ResultTable, out_dir) -> list[Path]:
     if not table.rows:
         raise ValueError("result table is empty")
     return [write_csv(out_dir, "results.csv", CSV_HEADER, (
-        [row.scenario.id, rr.run, _fmt_float(rr.a1), _fmt_float(rr.a2),
+        [row.scenario.id, rr.run, rr.a1, rr.a2,
          "true" if rr.informative else "false"]
         for row in table.rows for rr in row.runs))]
 
@@ -540,7 +540,7 @@ def write_scatter_svgs(runs_by_scenario: dict, out_dir) -> list[Path]:
     for sid, runs in runs_by_scenario.items():
         pts = np.array([(r.a1, r.a2) for r in runs], dtype=float)
         pts = pts.reshape(-1, 2)[np.isfinite(pts).all(axis=1)]
-        rate = sum(r.informative for r in runs) / len(runs)
+        rate = summarize(runs)[2]
         path = out / f"scatter_scenario_{sid}.svg"
         path.write_text(_scatter_svg(
             pts, f"scenario {sid}: {len(runs)} runs, informative rate "

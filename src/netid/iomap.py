@@ -52,9 +52,7 @@ def true_T(model: NetworkModel, rows, cols, grid: FreqGrid) -> FreqResponseMatri
         _check_node(n, model.L)
     om = grid.as_array()
     A = np.eye(model.L) - model.eval_G(om)          # (K, L, L)
-    rhs = np.zeros((model.L, len(cols)))
-    for c, i in enumerate(cols):
-        rhs[i - 1, c] = 1.0
+    rhs = np.eye(model.L)[:, [i - 1 for i in cols]]
     try:
         X = np.linalg.solve(A, np.broadcast_to(rhs, (len(om),) + rhs.shape))
     except np.linalg.LinAlgError:

@@ -62,9 +62,10 @@ class NetworkModel:
     L : int
         Node count.
     edges : mapping (j, i) -> RationalTF
-        Module from node i to node j.  Diagonal entries are forbidden (the
-        network matrix is hollow) and identically-zero modules are rejected:
-        absence of an edge is the only representation of "no module".
+        Module from node i to node j; any other value raises TypeError.
+        Diagonal entries are forbidden (the network matrix is hollow) and
+        identically-zero modules are rejected: absence of an edge is the
+        only representation of "no module".
         Zero-delay cycles are allowed while (I - D0) is invertible, with D0
         the zero-delay coefficient matrix; otherwise construction fails.
     """
@@ -76,20 +77,17 @@ class NetworkModel:
         for (j, i), tf in dict(edges).items():
             j, i = int(j), int(i)
             if not isinstance(tf, RationalTF):
-                tf = RationalTF(*tf) if isinstance(tf, tuple) else RationalTF(tf)
+                raise TypeError(f"edge ({j},{i}) is a {type(tf).__name__}, "
+                                f"not a RationalTF")
             _check_edge(L, j, i, tf)
             clean[(j, i)] = tf
         self._L = L
         self._edges = clean
         self._ins: dict[int, tuple[int, ...]] = {}
         self._outs: dict[int, tuple[int, ...]] = {}
-        for (j, i) in clean:
-            self._ins.setdefault(j, ())
-            self._outs.setdefault(i, ())
-        for j in list(self._ins):
-            self._ins[j] = tuple(sorted(i for (jj, i) in clean if jj == j))
-        for i in list(self._outs):
-            self._outs[i] = tuple(sorted(j for (j, ii) in clean if ii == i))
+        for (j, i) in sorted(clean):
+            self._ins[j] = self._ins.get(j, ()) + (i,)
+            self._outs[i] = self._outs.get(i, ()) + (j,)
 
         d0 = self.feedthrough_matrix()
         cond = np.linalg.cond(np.eye(L) - d0)

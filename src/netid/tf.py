@@ -60,11 +60,7 @@ class PolyQ:
 
     def __call__(self, x):
         """Evaluate at x = q^-1 (scalar or ndarray, real or complex) by Horner."""
-        x = np.asarray(x)
-        acc = np.zeros(x.shape, dtype=np.result_type(x.dtype, np.float64))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc if acc.shape else acc[()]
+        return np.polyval(self.coeffs[::-1], x)
 
     def scaled(self, factor: float) -> PolyQ:
         return PolyQ([factor * c for c in self.coeffs])

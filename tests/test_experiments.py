@@ -375,7 +375,7 @@ class TestMonteCarlo:
         scn = Scenario(id="taps", excited_nodes=tuple(range(1, model.L + 1)),
                        method="direct", target=target, runs=3,
                        samples_per_run=500, base_seed=0)
-        check_scenario(scn, model, 500)  # netid direct accepts it
+        check_scenario(scn, model)  # netid direct accepts it
         j, i = target
         with pytest.raises(ValueError, match=re.escape(
                 f"scenario taps: target module ({j},{i})'s band {band} is "
@@ -434,13 +434,13 @@ class TestMonteCarlo:
                                target=(j, i), runs=1, samples_per_run=samples,
                                base_seed=0)
                 try:
-                    check_scenario(scn, model, samples)
+                    check_scenario(scn, model)
                     checked = True
                 except ValueError:
                     checked = False
                 with pytest.raises(RuntimeError) as run:
                     if method == "direct":
-                        run_direct(model, scn, samples, scn.base_seed)
+                        run_direct(model, scn, scn.base_seed)
                     else:
                         run_local_pipeline(model, (j, i), samples=samples,
                                            seed=scn.base_seed)
@@ -461,7 +461,7 @@ class TestMonteCarlo:
         scn = Scenario(id="sib", excited_nodes=plan.excite_set,
                        method="local", target=(8, 13), runs=3,
                        samples_per_run=10_000, base_seed=0)
-        check_scenario(scn, case_study, 10_000)
+        check_scenario(scn, case_study)
 
     def test_local_method_batch(self, case_study):
         scn = Scenario(id="loc", excited_nodes=(3, 4, 5, 6), method="local",
@@ -833,6 +833,23 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(
             f"error: scenario 1: {problem}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["direct", "--samples", "-5"],
+        ["simulate", "--scenario", "1", "--samples", "0"]],
+        ids=["direct", "simulate"])
+    def test_samples_override_breaks_the_scenario_rule(self, tmp_path, capsys,
+                                                       monkeypatch, argv):
+        simulated = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "simulate",
+                                lambda *args, **kwargs: simulated.append(args))
+        monkeypatch.chdir(tmp_path)  # where simulate would write netid-out
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 1: sample count must be >= 1\n")
+        assert simulated == []
+        assert not (tmp_path / "netid-out").exists()
 
     def test_simulate_negative_seed_names_it(self, tmp_path, capsys,
                                              monkeypatch):

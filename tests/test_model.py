@@ -35,6 +35,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NetworkModel(0, {})
 
+    @pytest.mark.parametrize("value", [([0.0, 1.0], [1.0]), [0.0, 1.0]],
+                             ids=["tuple", "list"])
+    def test_rejects_edge_that_is_not_a_transfer_function(self, value):
+        with pytest.raises(TypeError, match=r"edge \(2,1\) is a "):
+            NetworkModel(2, {(2, 1): value})
+
 
 class TestTopology:
     def test_neighbors_sorted_and_degrees(self, case_study):
@@ -42,6 +48,15 @@ class TestTopology:
         assert case_study.out_neighbors(4) == (3, 5, 6)
         assert len(case_study.in_neighbors(3)) == 4
         assert len(case_study.out_neighbors(4)) == 3
+
+    def test_neighbors_do_not_depend_on_edge_order(self, case_study):
+        items = case_study.edge_items()
+        m = NetworkModel(case_study.L, dict(reversed(items)))
+        for n in range(1, m.L + 1):
+            assert m.in_neighbors(n) == tuple(
+                i for (j, i), _ in items if j == n)
+            assert m.out_neighbors(n) == tuple(
+                sorted(j for (j, i), _ in items if i == n))
 
     def test_isolated_node_has_no_neighbors(self):
         m = NetworkModel(3, {(2, 1): RationalTF([0.0, 1.0])})

@@ -1,9 +1,10 @@
 """The public names that the documentation and the committed scripts use
 exist in netid.
 
-README's Python examples and the scripts under benchmarks/ and tools/ are
-not run by the rest of the suite, so an API change that breaks them would
-otherwise go unnoticed until someone runs them by hand.
+README's Python examples, the scripts under benchmarks/ and tools/, and
+some steps of perfbench's workloads are not run by the rest of the suite,
+so an API change that breaks them would otherwise go unnoticed until
+someone runs them by hand.
 """
 
 import ast
@@ -34,26 +35,51 @@ def test_readme_python_examples_run(capsys):
 
 def _netid_names(path: Path) -> set[tuple[str, str]]:
     """(module, name) for every name the script imports from a netid module
-    or reads as netid.<name>."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+    or reads as an attribute of a netid module it imports, such as
+    netid.<name> or, after `from netid import experiments`,
+    experiments.<name>."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name == "netid")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
                 (node.module or "").split(".")[0] == "netid":
-            used.update((node.module, a.name) for a in node.names)
-        elif isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and node.value.id == "netid":
-            used.add(("netid", node.attr))
+            for a in node.names:
+                full = f"{node.module}.{a.name}"
+                try:
+                    importlib.import_module(full)
+                    modules[a.asname or a.name] = full
+                except ModuleNotFoundError:  # a name, not a module
+                    used.add((node.module, a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            used.add((modules[node.value.id], node.attr))
     return used
+
+
+def _missing(scripts) -> list[tuple[str, str, str]]:
+    return [(script.relative_to(ROOT).as_posix(), module, name)
+            for script in scripts
+            for module, name in sorted(_netid_names(script))
+            if not hasattr(importlib.import_module(module), name)]
 
 
 def test_committed_scripts_use_existing_names():
     scripts = sorted((ROOT / "benchmarks").glob("*.py")) + \
         sorted((ROOT / "tools").glob("*.py"))
-    used = {script.relative_to(ROOT).as_posix(): _netid_names(script)
-            for script in scripts}
-    assert used["benchmarks/memory.py"]  # the scan finds its imports
-    missing = [(script, module, name)
-               for script, names in used.items()
-               for module, name in sorted(names)
-               if not hasattr(importlib.import_module(module), name)]
-    assert missing == []
+    assert _netid_names(ROOT / "benchmarks" / "memory.py")  # finds imports
+    assert _missing(scripts) == []
+
+
+def test_perfbench_reads_existing_names():
+    # a name the benchmark reads only in a step no test reaches, such as
+    # experiments.ResultTable in DirectMC.conclude, fails here
+    scripts = sorted((ROOT / "perfbench").glob("*.py"))
+    names = set().union(*map(_netid_names, scripts))
+    assert {("netid.experiments", "ResultTable"),
+            ("netid.model", "ExcitationSpec"),
+            ("netid.sim", "simulate")} <= names
+    assert _missing(scripts) == []

@@ -45,46 +45,30 @@ def pack_model(model: NetworkModel):
 
 def _sim_loop_py(erow, ecol, bmat, amat, M, u):
     """The documented per-sample recursion of netid.kernels, in its plain
-    form: the reference the lifted kernel is checked against."""
+    form: the reference the lifted kernel is checked against.  Each sample
+    steps every edge's difference equation at once, tap by tap:
+    s_e = sum_k b_e[k] w_src(t-k) - sum_m a_e[m] y_e(t-m) over k, m >= 1,
+    then w(t) = M (u(t) + the s_e into each node) and
+    y_e(t) = b_e[0] w_src(t) + s_e.  Returns (w, the first sample whose w
+    is not finite, or -1)."""
     L, N = u.shape
-    E = erow.shape[0]
-    NB = bmat.shape[1]
+    E, NB = bmat.shape
     NA = amat.shape[1]
-    w = np.zeros((L, N))
-    y = np.zeros((E, N))
-    s = np.zeros(E)
-    c = np.zeros(L)
-    wt = np.zeros(L)
-    for t in range(N):
-        for e in range(E):
-            acc = 0.0
-            src = ecol[e]
-            for k in range(1, NB):
-                if t - k >= 0:
-                    acc += bmat[e, k] * w[src, t - k]
-            for m in range(1, NA):
-                if t - m >= 0:
-                    acc -= amat[e, m] * y[e, t - m]
-            s[e] = acc
-        for j in range(L):
-            c[j] = u[j, t]
-        for e in range(E):
-            c[erow[e]] += s[e]
-        ok = True
-        for j in range(L):
-            acc = 0.0
-            for i in range(L):
-                acc += M[j, i] * c[i]
-            wt[j] = acc
-            if not np.isfinite(acc):
-                ok = False
-        for j in range(L):
-            w[j, t] = wt[j]
-        if not ok:
-            return w, t
-        for e in range(E):
-            y[e, t] = bmat[e, 0] * w[ecol[e], t] + s[e]
-    return w, -1
+    P = max(NB, NA) - 1  # zeros before t = 0, so every tap reads a sample
+    w = np.zeros((L, P + N))
+    y = np.zeros((E, P + N))
+    for t in range(P, P + N):
+        s = np.zeros(E)
+        for k in range(1, NB):
+            s += bmat[:, k] * w[ecol, t - k]
+        for m in range(1, NA):
+            s -= amat[:, m] * y[:, t - m]
+        wt = M @ (u[:, t - P] + np.bincount(erow, s, minlength=L))
+        w[:, t] = wt
+        if not np.isfinite(wt).all():
+            return w[:, P:], t - P
+        y[:, t] = bmat[:, 0] * wt[ecol] + s
+    return w[:, P:], -1
 
 
 class TestKernelBasics:
