@@ -2,7 +2,7 @@
 
 The package covers the full workflow: transfer functions and network models
 (netid.tf, netid.model), closed-loop simulation through the network's
-state-space realization (netid.sim, netid.kernels), the exact input-output
+state-space realization (netid.model, netid.sim), the exact input-output
 map and the stability verdict (netid.iomap), the classical direct
 prediction-error method (netid.direct), the local two-step method that needs
 only a small submatrix of the network response (netid.local), and a

@@ -56,16 +56,18 @@ def _select_scenarios(value: str | None) -> list[Scenario]:
 
 def _one_scenario(args, command: str) -> Scenario:
     """The one scenario that --scenario names, for a command that runs one,
-    with --samples, when given, as its sample count."""
+    with --samples and --seed, when given, as its sample count and base
+    seed."""
     scenarios = _select_scenarios(args.scenario)
     if len(scenarios) > 1:
         ids = ", ".join(s.id for s in scenarios)
         raise ValueError(f"scenario file {args.scenario} holds "
                          f"{len(scenarios)} scenarios ({ids}); "
                          f"'netid {command}' takes one")
-    if args.samples is None:
-        return scenarios[0]
-    return dataclasses.replace(scenarios[0], samples_per_run=args.samples)
+    return dataclasses.replace(scenarios[0], **{
+        name: value for name, value in (("samples_per_run", args.samples),
+                                        ("base_seed", args.seed))
+        if value is not None})
 
 
 def _parse_target(text: str) -> tuple[int, int]:
@@ -79,8 +81,7 @@ def _cmd_simulate(args) -> int:
     model = _load_model(args)
     if args.scenario is not None:
         scn = _one_scenario(args, "simulate")
-        spec = scn.excitation(scn.base_seed if args.seed is None
-                              else args.seed)
+        spec = scn.excitation(scn.base_seed)
     else:
         spec = ExcitationSpec(
             range(1, model.L + 1),
@@ -99,15 +100,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_direct(args) -> int:
     model = _load_model(args)
     scn = _one_scenario(args, "direct")
-    seed = args.seed if args.seed is not None else scn.base_seed
     if scn.method != "direct":
         raise ValueError(f"scenario {scn.id} has method {scn.method}; "
                          f"'netid direct' runs direct scenarios only")
     check_scenario(scn, model)
-    est = run_direct(model, scn, seed)
+    est = run_direct(model, scn, scn.base_seed)
     j = est.structure.target_node
     print(f"scenario {scn.id}: direct estimate of modules into node {j} "
-          f"({scn.samples_per_run} samples, seed {seed})")
+          f"({scn.samples_per_run} samples, seed {scn.base_seed})")
     for node in est.structure.regressor_nodes:
         coeffs = ", ".join(f"{c:.6g}" for c in est.coefficients_for(node))
         print(f"  module ({j},{node}): [{coeffs}]")

@@ -4,7 +4,7 @@ true_T samples T(q) = (I - G(q))^-1 on a frequency grid by dense linear
 solves: the ground truth for the local method's solves and for estimator
 tests.  is_internally_stable decides whether the network is internally
 stable from the spectral radius of the state-space realization that the
-model caches and the simulator steps (see netid.kernels).
+model caches and the simulator steps (see NetworkModel.realization).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .tf import RationalTF
 
 # (I - D0) with condition number above this is treated as singular, where D0
@@ -36,6 +35,39 @@ def node_set(nodes) -> tuple[int, ...]:
     if out and out[0] < 1:
         raise ValueError("node indices are 1-based and must be >= 1")
     return out
+
+
+def _realize(model):
+    """(A, B, C, D) as NetworkModel.realization describes them."""
+    L = model.L
+    chains: dict[tuple, list] = {}   # (j, a_1..a_k) -> [(i, b_k - b0 a_k)]
+    for (j, i), tf in model.edge_items():
+        a = np.array(tf.den.coeffs[1:])
+        b = np.array(tf.num.coeffs)
+        bt = np.zeros(max(a.size, b.size - 1))
+        bt[:b.size - 1] = b[1:]
+        bt[:a.size] -= b[0] * a
+        used = np.flatnonzero(bt)
+        k = max(a.size, used[-1] + 1 if used.size else 0)
+        if k:                        # static edges have no states
+            chains.setdefault((j - 1, tuple(a)), []).append((i - 1, bt[:k]))
+    orders = [max(bt.size for _, bt in members)
+              for members in chains.values()]
+    n = sum(orders)
+    Ax = np.zeros((n, n))
+    Bx = np.zeros((n, L))
+    Cx = np.zeros((L, n))
+    s = 0
+    for ((j, a), members), k in zip(chains.items(), orders):
+        Ax[s:s + k, s:s + k] = np.eye(k, k=1)
+        Ax[s:s + len(a), s] = np.negative(a)
+        for i, bt in members:
+            Bx[s:s + bt.size, i] = bt
+        Cx[j, s] = 1.0
+        s += k
+    M = np.linalg.inv(np.eye(L) - model.feedthrough_matrix())
+    B = Bx @ M
+    return Ax + B @ Cx, B, M @ Cx, M
 
 
 class NetworkFormatError(ValueError):
@@ -141,8 +173,30 @@ class NetworkModel:
     @cached_property
     def realization(self) -> tuple[np.ndarray, ...]:
         """State-space realization (A, B, C, D) of the network, read-only and
-        built on first use; see netid.kernels."""
-        arrays = kernels._realize(self)
+        built on first use.  With input u = r + v of shape (L, N), an edge
+        i -> j with transfer function B/A in q^-1, A = 1 + a_1 q^-1 + ...,
+        gives y(t) = b0 w_i(t) + s(t), with s = sum_k (b_k - b0 a_k) q^-k / A
+        applied to w_i.  Node equations w = sum_in y + u give
+        (I - D0) w = c + u, with D0 the zero-delay coefficients and c_j the
+        sum of s over the edges into j.
+
+        c_j is realized in observer canonical form with one chain per (node
+        j, denominator A), shared by the edges into j with that denominator.
+        The chain's order k is the largest among its members; its Ax block
+        is the shift eye(k, k=1) with -a_1..-a_k in the first column, each
+        member's strictly proper numerator b_k - b0 a_k fills the member's
+        source column of Bx, and Cx[j, chain start] = 1.  Observer forms
+        with one (Ax, Cx) add by adding their Bx columns, so the chain's
+        output is exactly the members' sum of s (Kailath, Linear Systems,
+        1980).  Static edges own no states.  On the case study, the FIR
+        edges into each node share the chain of A = 1, which gives 35
+        states against 57 for a chain per edge.  Substituting
+        w = M (c + u), M = (I - D0)^-1, into x(t+1) = Ax x + Bx w and
+        c = Cx x gives
+          x(t+1) = A x(t) + B u(t),  w(t) = C x(t) + D u(t),
+          A = Ax + Bx M Cx,  B = Bx M,  C = M Cx,  D = M.
+        """
+        arrays = _realize(self)
         for a in arrays:
             a.flags.writeable = False
         return arrays

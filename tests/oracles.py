@@ -58,10 +58,12 @@ def impulse_response(model: NetworkModel, in_node: int, n: int) -> np.ndarray:
     return simulate_inputs(model, r).w
 
 
-def true_T_impulse(model: NetworkModel, out: int, in_: int, n: int,
+def true_T_impulse(model: NetworkModel, out, in_: int, n: int,
                    method: str = "spectral", grid_size: int = 1 << 15,
                    precision_digits: int = 40) -> np.ndarray:
-    """First n impulse-response samples of the T entry (out, in_).
+    """First n impulse-response samples of the T entry (out, in_), shape
+    (n,); for a sequence of output nodes, the entries of input column in_
+    from one call, one row per node, shape (len(out), n).
 
     method "spectral": inverse FFT of T sampled on a dense grid (grid_size
     points); accurate for internally stable networks once the grid outruns
@@ -71,18 +73,22 @@ def true_T_impulse(model: NetworkModel, out: int, in_: int, n: int,
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    for label, node in (("out", out), ("in", in_)):
+    outs = tuple(np.atleast_1d(out))
+    for label, node in [("out", o) for o in outs] + [("in", in_)]:
         if not (1 <= node <= model.L):
             raise ValueError(f"{label} node {node} outside 1..{model.L}")
     if method == "spectral":
-        return _impulse_spectral(model, out, in_, n, grid_size)
-    if method == "cofactor":
-        return _impulse_cofactor(model, out, in_, n, precision_digits)
-    raise ValueError(f"unknown method {method!r}; expected 'spectral' or 'cofactor'")
+        h = _impulse_spectral(model, outs, in_, n, grid_size)
+    elif method == "cofactor":
+        h = _impulse_cofactor(model, outs, in_, n, precision_digits)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'spectral' "
+                         f"or 'cofactor'")
+    return h if np.ndim(out) else h[0]
 
 
-def _impulse_spectral(model: NetworkModel, out: int, in_: int, n: int,
-                      K: int) -> np.ndarray:
+def _impulse_spectral(model: NetworkModel, outs: tuple[int, ...], in_: int,
+                      n: int, K: int) -> np.ndarray:
     om = 2.0 * np.pi * np.arange(K) / K
     A = np.eye(model.L) - model.eval_G(om)
     rhs = np.zeros((model.L, 1))
@@ -90,8 +96,8 @@ def _impulse_spectral(model: NetworkModel, out: int, in_: int, n: int,
     col = np.linalg.solve(A, np.broadcast_to(rhs, (K,) + rhs.shape))
     # G was evaluated at x = e^{-j om}, so samples are T(e^{-j om}) and the
     # plain inverse FFT returns the series coefficients in q^-1.
-    h = np.fft.ifft(col[:, out - 1, 0])
-    return np.real(h[:n]).copy()
+    h = np.fft.ifft(col[:, [o - 1 for o in outs], 0], axis=0)
+    return np.real(h[:n]).T.copy()
 
 
 def _mp_lu_det_solve(A, b):
@@ -132,8 +138,8 @@ def _mp_horner(coeffs, x):
     return acc
 
 
-def _impulse_cofactor(model: NetworkModel, out: int, in_: int, n: int,
-                      dps: int) -> np.ndarray:
+def _impulse_cofactor(model: NetworkModel, outs: tuple[int, ...], in_: int,
+                      n: int, dps: int) -> np.ndarray:
     """Adjugate/determinant polynomial reconstruction + series long division.
 
     Clearing each row j of (I - G) by the product A_j of its edge
@@ -141,7 +147,8 @@ def _impulse_cofactor(model: NetworkModel, out: int, in_: int, n: int,
     T = P^-1 diag(A_j), so the (out, in_) entry equals
     adj(P)_{out,in_} * A_{in_} / det(P) with polynomial numerator and
     denominator.  adj(P)_{out,in_} is det(P) * [P^-1 e_in]_out (Cramer), so
-    one LU per evaluation point yields both polynomials; coefficients follow
+    one LU per evaluation point yields det(P) and every output's adjugate
+    entry in column in_; coefficients follow
     by inverse DFT on the unit circle, the impulse by long division of the
     series.  The determinant's coefficient dynamic range is what forces
     extended precision (see module docstring).
@@ -183,7 +190,7 @@ def _impulse_cofactor(model: NetworkModel, out: int, in_: int, n: int,
             rhs[in_ - 1] = mpc(1)
             det, col = _mp_lu_det_solve(P, rhs)
             detv[k] = det
-            adjv[k] = det * col[out - 1]
+            adjv[k] = [det * col[o - 1] for o in outs]
 
         invK = mpf(1) / K
 
@@ -197,7 +204,6 @@ def _impulse_cofactor(model: NetworkModel, out: int, in_: int, n: int,
             return out_c
 
         dcof = idft(detv)
-        acof = idft(adjv)
         # numerator polynomial: adj * A_in (A_in = product of row-in_ edge dens)
         ain = [mpf(1)]
         for (j, i), tf in items:
@@ -207,18 +213,22 @@ def _impulse_cofactor(model: NetworkModel, out: int, in_: int, n: int,
                     for b_idx, cb in enumerate(tf.den.coeffs):
                         prod[a_idx + b_idx] += ca * cb
                 ain = prod
-        ncof = [mpc(0)] * (len(acof) + len(ain) - 1)
-        for a_idx, ca in enumerate(acof):
-            for b_idx, cb in enumerate(ain):
-                ncof[a_idx + b_idx] += ca * cb
+        rows = []
+        for o in range(len(outs)):
+            acof = idft([a[o] for a in adjv])
+            ncof = [mpc(0)] * (len(acof) + len(ain) - 1)
+            for a_idx, ca in enumerate(acof):
+                for b_idx, cb in enumerate(ain):
+                    ncof[a_idx + b_idx] += ca * cb
 
-        series = []
-        for k in range(n):
-            acc = ncof[k] if k < len(ncof) else mpc(0)
-            for m in range(1, min(k, len(dcof) - 1) + 1):
-                acc -= dcof[m] * series[k - m]
-            series.append(acc / dcof[0])
-        return np.array([float(v.real) for v in series])
+            series = []
+            for k in range(n):
+                acc = ncof[k] if k < len(ncof) else mpc(0)
+                for m in range(1, min(k, len(dcof) - 1) + 1):
+                    acc -= dcof[m] * series[k - m]
+                series.append(acc / dcof[0])
+            rows.append([float(v.real) for v in series])
+        return np.array(rows)
     finally:
         mp.dps = old_dps
 

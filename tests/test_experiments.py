@@ -808,17 +808,32 @@ class TestCLI:
         assert simulated == []
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("argv", [["direct", "--seed", "-1"],
-                                      ["local", "--seed", "-2"]],
-                             ids=["direct", "local"])
-    def test_negative_seed_fails_at_plan(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, where", [
+        (["direct", "--seed", "-1"], "scenario 1:"),
+        (["local", "--seed", "-2"], "[plan]")], ids=["direct", "local"])
+    def test_negative_seed_fails_at_plan(self, capsys, monkeypatch, argv,
+                                         where):
         simulated = []
         monkeypatch.setattr(experiments, "simulate",
                             lambda *args, **kwargs: simulated.append(args))
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: [plan] seed must be >= 0, got {argv[-1]}")
+            f"error: {where} seed must be >= 0, got {argv[-1]}")
         assert simulated == []
+
+    @pytest.mark.parametrize("command", ["direct", "simulate", "montecarlo"])
+    def test_negative_seed_reads_the_same_for_every_scenario_command(
+            self, tmp_path, capsys, monkeypatch, command):
+        simulated = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "simulate",
+                                lambda *args, **kwargs: simulated.append(args))
+        monkeypatch.chdir(tmp_path)  # where simulate would write netid-out
+        assert main([command, "--scenario", "1", "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 1: seed must be >= 0, got -3\n")
+        assert simulated == []
+        assert not (tmp_path / "netid-out").exists()
 
     @pytest.mark.parametrize("option, value, problem", [
         ("--runs", "-1", "runs must be >= 1"),

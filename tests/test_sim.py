@@ -10,7 +10,8 @@ import pytest
 from netid import (DirectModelStructure, ExcitationSpec, NetworkModel,
                    RationalTF, SimulationDiverged, estimate_direct, simulate,
                    simulate_inputs)
-from netid import kernels, sim
+import netid.model
+from netid import sim
 
 from conftest import make_two_node_loop, random_rational_network
 from oracles import draw_inputs, impulse_response, true_T_impulse
@@ -44,8 +45,8 @@ def pack_model(model: NetworkModel):
 
 
 def _sim_loop_py(erow, ecol, bmat, amat, M, u):
-    """The documented per-sample recursion of netid.kernels, in its plain
-    form: the reference the lifted kernel is checked against.  Each sample
+    """The per-sample recursion that NetworkModel.realization documents, in
+    its plain form: the reference the lifted kernel is checked against.  Each sample
     steps every edge's difference equation at once, tap by tap:
     s_e = sum_k b_e[k] w_src(t-k) - sum_m a_e[m] y_e(t-m) over k, m >= 1,
     then w(t) = M (u(t) + the s_e into each node) and
@@ -106,8 +107,8 @@ class TestKernelBasics:
     def test_kernel_writes_w_over_its_input(self, two_node_chain):
         u = np.zeros((2, 6))
         u[0, 0] = 1.0
-        w, bad = kernels.sim_loop_numpy(*two_node_chain.realization, u)
-        assert bad == -1 and w is u
+        w = sim._step(*two_node_chain.realization, u)
+        assert w is u
         assert np.array_equal(w[1], [0, 1, 0, 0, 0, 0.0])
 
     def test_input_shape_validation(self, two_node_chain):
@@ -169,13 +170,13 @@ class TestKernel:
 
     def test_realization_built_once_per_model(self, monkeypatch):
         calls = []
-        realize = kernels._realize
+        realize = netid.model._realize
 
         def counting(model):
             calls.append(model)
             return realize(model)
 
-        monkeypatch.setattr(kernels, "_realize", counting)
+        monkeypatch.setattr(netid.model, "_realize", counting)
         m = make_two_node_loop(0.5, 0.5)
         spec = ExcitationSpec([1, 2], N=50, seed=0)
         assert np.array_equal(simulate(m, spec).w, simulate(m, spec).w)
@@ -194,7 +195,7 @@ class TestKernel:
 def small_chunks(monkeypatch):
     """Walk the record in chunks of at most 50 samples, so that short
     records cross several chunk boundaries."""
-    monkeypatch.setattr(kernels, "_CHUNK", 50)
+    monkeypatch.setattr(sim, "_CHUNK", 50)
 
 
 class TestChunks:
@@ -325,17 +326,19 @@ class TestDivergence:
             simulate_inputs(m, r)
         assert 0 <= bad_ref - exc.value.sample <= delay - 1
 
-    def test_kernel_output_is_finite_before_bad_and_zero_after(self):
-        # bad lies in the fifth chunk, past its first output block, so the
-        # blocks before it in that chunk are written before it is found
+    def test_step_raises_at_first_non_finite_column(self):
+        # the blow-up lies in the fifth chunk, past its first output block,
+        # so the blocks before it in that chunk are written before it is
+        # found; w, written over r, shows the column the error names
         m = make_two_node_loop(1.05, 1.05, delay=3)
         r = np.zeros((2, 50_000))
         r[0, 0] = 1.0
-        w, bad = kernels.sim_loop_numpy(*m.realization, r)
-        assert 4 * kernels._CHUNK + kernels._OUT_BLOCK <= bad
-        assert np.isfinite(w[:, :bad]).all()
-        assert not np.isfinite(w[:, bad]).all()
-        assert (w[:, bad + 1:] == 0).all()
+        with pytest.raises(SimulationDiverged) as exc:
+            sim._step(*m.realization, r)
+        bad = exc.value.sample
+        assert 4 * sim._CHUNK + sim._OUT_BLOCK <= bad
+        assert np.isfinite(r[:, :bad]).all()
+        assert not np.isfinite(r[:, bad]).all()
 
     def test_unexcited_unstable_part_does_not_diverge(self):
         # The loop (3,4), (4,3) has spectral radius 1e4, so A^K overflows,
