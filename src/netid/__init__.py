@@ -15,26 +15,21 @@ from .model import (ExcitationSpec, NetworkFormatError, NetworkModel,
                     save_network)
 from .sim import SimulationDiverged, simulate, simulate_inputs
 from .iomap import FreqResponseMatrix, is_internally_stable, true_T
-from .direct import (DirectEstimate, DirectModelStructure, build_regressor,
-                     estimate_direct)
-from .local import (LocalSolveResult, MethodChoice, TSubmatrixEstimate,
-                    estimate_T_entries, fit_parametric, plan_experiment,
+from .direct import DirectModelStructure, build_regressor, estimate_direct
+from .local import (estimate_T_entries, fit_parametric, plan_experiment,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
-from .experiments import (ModuleEstimate, ResultTable, RunResult, Scenario,
-                          ScenarioFormatError, ScenarioResult, emit_results,
-                          load_scenarios, read_results, run_local_pipeline,
-                          run_monte_carlo)
+from .experiments import (ResultTable, RunResult, Scenario,
+                          ScenarioFormatError, emit_results, load_scenarios,
+                          read_results, run_local_pipeline, run_monte_carlo)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExcitationSpec", "DirectEstimate", "DirectModelStructure", "FreqGrid",
-    "FreqResponseMatrix", "LocalSolveResult", "MethodChoice",
-    "ModuleEstimate", "NetworkFormatError", "NetworkModel", "RationalTF",
-    "ResultTable", "RunResult", "Scenario",
-    "ScenarioFormatError", "ScenarioResult", "SignalRecord",
-    "SimulationDiverged", "TSubmatrixEstimate", "build_case_study",
+    "ExcitationSpec", "DirectModelStructure", "FreqGrid",
+    "FreqResponseMatrix", "NetworkFormatError", "NetworkModel", "RationalTF",
+    "ResultTable", "RunResult", "Scenario", "ScenarioFormatError",
+    "SignalRecord", "SimulationDiverged", "build_case_study",
     "build_regressor", "emit_results", "estimate_T_entries",
     "estimate_direct", "fit_parametric", "is_internally_stable",
     "load_network", "load_scenarios", "plan_experiment",

@@ -21,7 +21,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .experiments import (ResultTable, Scenario, check_scenario,
+from .experiments import (ResultTable, Scenario, check_batch, check_scenario,
                           default_scenario_file, emit_results,
                           load_scenarios, read_results, run_direct,
                           run_local_pipeline, run_monte_carlo, summarize,
@@ -35,39 +35,33 @@ from .tf import FreqGrid
 
 
 def _load_model(args):
-    path = Path(args.network) if args.network else default_network_file()
-    return load_network(path)
+    return load_network(args.network or default_network_file())
 
 
-def _select_scenarios(value: str | None) -> list[Scenario]:
-    """--scenario accepts a scenario file path or an id in the shipped file."""
-    if value is None:
-        return load_scenarios(default_scenario_file())
-    if Path(value).exists():
-        return load_scenarios(Path(value))
-    scenarios = [s for s in load_scenarios(default_scenario_file())
-                 if s.id == value]
-    if not scenarios:
-        raise ValueError(
-            f"--scenario {value!r} is neither a file nor a scenario id in "
-            f"{default_scenario_file().name}")
-    return scenarios
-
-
-def _one_scenario(args, command: str) -> Scenario:
-    """The one scenario that --scenario names, for a command that runs one,
-    with --samples and --seed, when given, as its sample count and base
-    seed."""
-    scenarios = _select_scenarios(args.scenario)
-    if len(scenarios) > 1:
-        ids = ", ".join(s.id for s in scenarios)
-        raise ValueError(f"scenario file {args.scenario} holds "
-                         f"{len(scenarios)} scenarios ({ids}); "
+def _scenarios(args, command: str | None = None) -> list[Scenario]:
+    """The scenarios --scenario names (a file, an id in the shipped file, or,
+    absent, the whole shipped file), each with --runs, --samples and --seed,
+    where given, as its counts and base seed.  A `command` that runs one
+    scenario rejects a file of several."""
+    value = args.scenario
+    if value is not None and Path(value).is_file():
+        scenarios = load_scenarios(Path(value))
+    else:
+        scenarios = [s for s in load_scenarios(default_scenario_file())
+                     if value in (None, s.id)]
+        if not scenarios:
+            raise ValueError(
+                f"--scenario {value!r} is neither a file nor a scenario id "
+                f"in {default_scenario_file().name}")
+    if command and len(scenarios) > 1:
+        raise ValueError(f"scenario file {value} holds {len(scenarios)} "
+                         f"scenarios ({', '.join(s.id for s in scenarios)}); "
                          f"'netid {command}' takes one")
-    return dataclasses.replace(scenarios[0], **{
-        name: value for name, value in (("samples_per_run", args.samples),
-                                        ("base_seed", args.seed))
-        if value is not None})
+    overrides = {name: given for name, given in (
+        ("runs", getattr(args, "runs", None)),
+        ("samples_per_run", args.samples), ("base_seed", args.seed))
+        if given is not None}
+    return [dataclasses.replace(s, **overrides) for s in scenarios]
 
 
 def _parse_target(text: str) -> tuple[int, int]:
@@ -80,7 +74,7 @@ def _parse_target(text: str) -> tuple[int, int]:
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
     if args.scenario is not None:
-        scn = _one_scenario(args, "simulate")
+        [scn] = _scenarios(args, "simulate")
         spec = scn.excitation(scn.base_seed)
     else:
         spec = ExcitationSpec(
@@ -99,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_direct(args) -> int:
     model = _load_model(args)
-    scn = _one_scenario(args, "direct")
+    [scn] = _scenarios(args, "direct")
     if scn.method != "direct":
         raise ValueError(f"scenario {scn.id} has method {scn.method}; "
                          f"'netid direct' runs direct scenarios only")
@@ -142,25 +136,21 @@ def _cmd_local(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     model = _load_model(args)
-    scenarios = _select_scenarios(args.scenario)
-    rows = []
-    all_failed = []
+    scenarios = _scenarios(args)
+    for scn in scenarios:  # all of them, before the first batch
+        check_batch(scn, model)
+    rows, all_failed = [], []
     for scn in scenarios:
-        if args.seed is not None:
-            scn = dataclasses.replace(scn, base_seed=args.seed)
-        row = run_monte_carlo(scn, model, runs=args.runs,
-                              samples=args.samples)
+        row = run_monte_carlo(scn, model)
         rows.append(row)
-        m1, m2 = row.mean
-        s1, s2 = row.std
+        (m1, m2), (s1, s2) = row.mean, row.std
         print(f"scenario {scn.id}: mean ({m1:.4f}, {m2:.4f})  "
               f"std ({s1:.4g}, {s2:.4g})  informative "
               f"{row.informative_rate:.0%}  runs {len(row.runs)}"
               + (f"  failed {row.failed_runs}" if row.failed_runs else ""))
         if row.failed_runs == len(row.runs):
             all_failed.append(row)
-    table = ResultTable(rows=tuple(rows))
-    for path in emit_results(table, args.out):
+    for path in emit_results(ResultTable(rows=tuple(rows)), args.out):
         print(f"wrote {path}")
     for row in all_failed:
         first = row.runs[0]
@@ -207,6 +197,20 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _scenario_options(default=None, absent=None) -> argparse.ArgumentParser:
+    """--scenario, --samples and --seed, as one command's own parent parser:
+    subparsers share a parent's actions, and so would share a default."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--scenario", metavar="FILE|ID", default=default,
+                   help=f"scenario file, or an id in the shipped file "
+                   f"(default: {absent or default})")
+    p.add_argument("--samples", type=int, default=None,
+                   help="override the scenario's sample count")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the scenario's base seed")
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netid",
@@ -223,23 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_GRID_POINTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common, out],
+    p = sub.add_parser("simulate", parents=[common, out, _scenario_options(
+        absent="excite every node, 10000 samples, seed 0")],
                        help="simulate the network and dump signals")
-    p.add_argument("--scenario", metavar="FILE|ID", default=None,
-                   help="take excitation set and variances from a scenario")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample count (default: the scenario's, or 10000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed (default: the scenario's base seed, or 0)")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("direct", parents=[common],
+    p = sub.add_parser("direct", parents=[common, _scenario_options("1")],
                        help="one-shot direct estimate for a scenario")
-    p.add_argument("--scenario", metavar="FILE|ID", default="1")
-    p.add_argument("--samples", type=int, default=None,
-                   help="override the scenario's sample count")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario's base seed")
     p.set_defaults(fn=_cmd_direct)
 
     p = sub.add_parser("local", parents=[common, module],
@@ -251,16 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="solve from exact T samples (oracle path, no noise)")
     p.set_defaults(fn=_cmd_local)
 
-    p = sub.add_parser("montecarlo", parents=[common, out],
-                       help="Monte-Carlo scenario batches")
-    p.add_argument("--scenario", metavar="FILE|ID", default=None,
-                   help="scenario file or single id (default: all shipped)")
+    p = sub.add_parser("montecarlo", parents=[common, out, _scenario_options(
+        absent="every shipped scenario")], help="Monte-Carlo scenario batches")
     p.add_argument("--runs", type=int, default=None,
-                   help="override every scenario's run count")
-    p.add_argument("--samples", type=int, default=None,
-                   help="override samples per run")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override every scenario's base seed")
+                   help="override the scenario's run count")
     p.set_defaults(fn=_cmd_montecarlo)
 
     p = sub.add_parser("truth", parents=[common, module, out],

@@ -313,6 +313,18 @@ def check_scenario(scenario: Scenario, model: NetworkModel) -> None:
         raise ValueError(f"scenario {scenario.id}: {e}") from None
 
 
+def check_batch(scenario: Scenario, model: NetworkModel) -> None:
+    """check_scenario, and a target whose band is two taps wide: a batch
+    records two coefficients per run, the a1, a2 of results.csv."""
+    check_scenario(scenario, model)
+    j, i = scenario.target
+    band = model.fir_band(j, i)
+    if band[1] != band[0] + 1:
+        raise ValueError(f"scenario {scenario.id}: target module ({j},{i})'s "
+                         f"band {band} is not two taps wide; a batch records "
+                         f"two coefficients, a1 and a2")
+
+
 def _stage(name: str, fn, *args, **kwargs):
     """fn(*args, **kwargs), with any error re-raised prefixed by `[name]`."""
     try:
@@ -340,23 +352,17 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
 
     Run k uses seed base_seed + k; per-run estimator failures are recorded
     in the run's row, with the failing stage's label, rather than aborting
-    the batch.  A scenario that every run would fail the same way (see
-    check_scenario) raises before any run starts, and so does a target
-    whose band has other than two taps, the a1, a2 of results.csv.  `runs`
-    and `samples` replace the scenario's counts, under Scenario's rules, and
-    the result's scenario carries the counts the batch ran with.
+    the batch.  A scenario that check_batch rejects raises before any run
+    starts.  `runs` and `samples` replace the scenario's counts, under
+    Scenario's rules, and the result's scenario carries the counts the batch
+    ran with.
     """
     scenario = replace(
         scenario, runs=scenario.runs if runs is None else runs,
         samples_per_run=scenario.samples_per_run if samples is None
         else samples)
-    check_scenario(scenario, model)
-    j, i = scenario.target
-    band = model.fir_band(j, i)
-    if band[1] != band[0] + 1:
-        raise ValueError(f"scenario {scenario.id}: target module ({j},{i})'s "
-                         f"band {band} is not two taps wide; a batch records "
-                         f"two coefficients, a1 and a2")
+    check_batch(scenario, model)
+    i = scenario.target[1]
 
     def one_run(k: int) -> RunResult:
         seed = scenario.base_seed + k

@@ -705,6 +705,16 @@ class TestCLI:
                      "--seed", "4"]) == 0
         assert "informative" in capsys.readouterr().out
 
+    def test_scenario_id_beside_a_directory_of_that_name(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        # `montecarlo --out 1` leaves a directory 1; --scenario 1 still
+        # names the shipped scenario, not the directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1").mkdir()
+        assert main(["direct", "--scenario", "1", "--samples", "500"]) == 0
+        assert capsys.readouterr().out.startswith("scenario 1: direct")
+
     def test_simulate_and_truth(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--samples", "40", "--seed", "1",
@@ -851,8 +861,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["direct", "--samples", "-5"],
-        ["simulate", "--scenario", "1", "--samples", "0"]],
-        ids=["direct", "simulate"])
+        ["simulate", "--scenario", "1", "--samples", "0"],
+        ["montecarlo", "--scenario", "1", "--samples", "0"]],
+        ids=["direct", "simulate", "montecarlo"])
     def test_samples_override_breaks_the_scenario_rule(self, tmp_path, capsys,
                                                        monkeypatch, argv):
         simulated = []
@@ -897,6 +908,38 @@ class TestCLI:
         lines = (out / "results.csv").read_text().splitlines()[1:]
         assert {sid: sum(line.startswith(sid + ",") for line in lines)
                 for sid in "ab"} == rows
+
+    def test_montecarlo_without_scenario_runs_the_shipped_file(self,
+                                                                tmp_path):
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--runs", "1", "--samples", "300",
+                     "--out", str(out)]) == 0
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [s.id, "0"] for s in load_scenarios(default_scenario_file())]
+        assert len(lines) == 18
+
+    def test_montecarlo_checks_every_scenario_before_the_first_batch(
+            self, tmp_path, capsys, monkeypatch):
+        # a bad last scenario must not cost the batches before it
+        simulated = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+        scn = tmp_path / "three.scn"
+        scn.write_text("format 1\n" + "".join(
+            f"scenario {sid}\n  excite {nodes}\n  method direct\n"
+            f"  target 3 4\n  runs 2\n  samples 500\n  seed 0\n"
+            for sid, nodes in (("a", "1 2 3 4"), ("b", "3 4 5"),
+                               ("c", "3 25"))))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", str(scn), "--out",
+                     str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scenario c: excited nodes {25} outside 1..20\n")
+        assert captured.out == ""
+        assert simulated == []
+        assert not (out / "results.csv").exists()
 
     def test_montecarlo_short_record_fails_before_any_run(self, tmp_path,
                                                           capsys):

@@ -1,5 +1,5 @@
 """The public names that the documentation and the committed scripts use
-exist in netid.
+exist in netid, and every name in netid.__all__ is one of them.
 
 README's Python examples, the scripts under benchmarks/ and tools/, and
 some steps of perfbench's workloads are not run by the rest of the suite,
@@ -83,3 +83,15 @@ def test_perfbench_reads_existing_names():
             ("netid.model", "ExcitationSpec"),
             ("netid.sim", "simulate")} <= names
     assert _missing(scripts) == []
+
+
+def test_every_public_name_is_used():
+    # a name that README does not name and no committed script reads has
+    # no user outside netid; it stays importable from its own module
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    scripts = [path for folder in ("tests", "benchmarks", "tools", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = {name for _, name in set().union(*map(_netid_names, scripts))}
+    unused = [name for name in netid.__all__ if name not in read
+              and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []
