@@ -40,7 +40,7 @@ from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
                     solve_source_side)
 from .iomap import is_internally_stable, true_T
 from .model import ExcitationSpec, NetworkModel, node_set
-from .sim import simulate
+from .sim import _hold_freed_memory, simulate
 from .tf import FreqGrid
 
 SCENARIO_FORMAT_VERSION = 1
@@ -383,6 +383,7 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
         a1, a2 = map(float, coeffs)
         return RunResult(run=k, a1=a1, a2=a2, informative=informative)
 
+    _hold_freed_memory()   # before the pool's threads, so they share a heap
     with one_blas_thread(), \
             ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         results = tuple(pool.map(one_run, range(scenario.runs)))
@@ -426,6 +427,7 @@ def _excitation_side(fir_order: int):
         yield None, None
         return
     started = []
+    _hold_freed_memory()   # before the helper, so it shares the main heap
     with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as helper:
         def hook(r):
             started.append(helper.submit(factor_excitation_gram, r,

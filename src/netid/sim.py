@@ -65,8 +65,9 @@ next product spreads 0 * inf = NaN to every state, so on an edge of delay d,
 the reported sample can come up to d - 1 samples before the per-edge
 difference equations see a non-finite w.
 
-The first simulation in a process has glibc's malloc keep freed memory, up
-to the process's peak, for the next run to reuse without page faults.
+The first simulation in a process, or netid's first pool or Gram helper,
+has glibc's malloc keep freed memory, up to the process's peak, for the next
+run to reuse without page faults, in one heap that netid's threads share.
 """
 
 from __future__ import annotations
@@ -100,13 +101,16 @@ class SimulationDiverged(RuntimeError):
 @functools.cache
 def _hold_freed_memory() -> bool:
     """Set M_MMAP_THRESHOLD (-3) to glibc's maximum, 32 MiB, so blocks come
-    from the heap, and M_TRIM_THRESHOLD (-1) to 256 MiB, so freed heap stays;
-    False, having done nothing, where libc has no mallopt."""
+    from the heap, M_TRIM_THRESHOLD (-1) to 256 MiB, so freed heap stays, and
+    M_ARENA_MAX (-8) to 1, so threads started later share the main heap: a
+    thread takes its arena at its first malloc, and one started earlier
+    keeps its own.  False, having done nothing, where libc has no mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
     mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-    return all([mallopt(-3, 32 * 2**20), mallopt(-1, 256 * 2**20)])
+    return all([mallopt(-3, 32 * 2**20), mallopt(-1, 256 * 2**20),
+                mallopt(-8, 1)])
 
 
 def _step(A, B, C, D, u):

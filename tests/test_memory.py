@@ -1,9 +1,11 @@
 """Working memory of the record-length path: at 10^5 samples, simulate, the
 T-entry regression and the direct solve hold no temporary the length of the
-record, and a record holds w and only the excited rows of r; the scripts
-that measure memory and page faults run."""
+record, and a record holds w and only the excited rows of r; the threads
+netid starts share one malloc heap; the scripts that measure memory and page
+faults run."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -71,6 +73,46 @@ def test_local_record_holds_w_and_the_excited_rows(realized):
     assert rec.w.nbytes + rec.r.nbytes <= (realized.L + 4) * N * 8
 
 
+HEAPS_AFTER_THREADS = """
+import ctypes, os, sys, tempfile
+from netid import build_case_study, run_local_pipeline, run_monte_carlo
+from netid.experiments import default_scenario_file, load_scenarios
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallopt") or not hasattr(libc, "malloc_info"):
+    sys.exit(3)
+model = build_case_study()
+scenario = next(s for s in load_scenarios(default_scenario_file())
+                if s.method == "direct")
+run_monte_carlo(scenario, model, runs=4, samples=2000)
+run_local_pipeline(model, (3, 4), samples=2000)
+libc.fopen.argtypes, libc.fopen.restype = [ctypes.c_char_p] * 2, ctypes.c_void_p
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "malloc_info.xml")
+    fh = libc.fopen(path.encode(), b"w")
+    libc.malloc_info(0, fh)
+    libc.fclose(fh)
+    with open(path) as xml:
+        print(xml.read().count("<heap nr="))
+"""
+
+
+def test_netid_threads_share_one_heap():
+    # a fresh interpreter, since pytest's own process already holds the
+    # arenas of earlier pool tests; without the arena cap, the two pool
+    # workers and the Gram helper would each take an arena of their own
+    done = subprocess.run(
+        [sys.executable, "-c", HEAPS_AFTER_THREADS], cwd=ROOT,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "NETID_WORKERS": "2",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    if done.returncode == 3:
+        pytest.skip("libc has no mallopt or malloc_info")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert int(done.stdout) == 1
+
+
 def test_memory_script_runs():
     # the script reads record attributes that no import check covers
     done = subprocess.run(
@@ -103,3 +145,5 @@ def test_faults_script_runs():
     assert out["units"] == 1
     for workload in ("direct_mc", "local_pipeline", "long_record"):
         assert len(out[workload]) == 1 and out[workload][0] >= 0
+        assert len(out["peak_rss_mb"][workload]) == 1
+        assert out["peak_rss_mb"][workload][0] > 0
