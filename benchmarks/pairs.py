@@ -16,18 +16,23 @@ BENCHMARK.json, both sides' values, medians and quartiles, the pairs the
 change won (ties count for neither side) and three verdicts (see
 compare): gain, worse than the metric's bound, and unresolved within it.
 The machine facts are those perfbench/facts.py reported in each tree's
-first run, and src_netid_lines is each tree's line count of src/netid/*.py.
+first run, and two_threads the two_thread_ratio taken before the first pair
+and after the last: whether the host gave the runs two free cores.
+src_netid_lines is each tree's line count of src/netid/*.py.
 The exit code is 1 if any run failed its output checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +72,29 @@ def src_netid_lines(tree: Path) -> int:
     """Line count of the tree's src/netid/*.py, as `wc -l` counts it."""
     return sum(path.read_bytes().count(b"\n")
                for path in (tree / "src" / "netid").glob("*.py"))
+
+
+def two_thread_ratio(size: int = 32 * 2**20) -> float:
+    """Serial over parallel wall time of two GIL-free jobs, each a sha256
+    over a `size`-byte buffer: run twice on this thread, then once on each
+    of two threads.  About 2 where the host gives two free cores, about 1
+    where it gives one."""
+    data = bytes(size)
+
+    def job():
+        hashlib.sha256(data).digest()
+
+    start = time.perf_counter()
+    job()
+    job()
+    serial = time.perf_counter() - start
+    threads = [threading.Thread(target=job) for _ in range(2)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return serial / (time.perf_counter() - start)
 
 
 def summary(values: list[float]) -> dict:
@@ -125,6 +153,7 @@ def main(argv=None) -> int:
                        check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         lines = {side: src_netid_lines(tree) for side, tree in trees.items()}
+        two_threads = {"before": two_thread_ratio()}
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             for side in order:
@@ -137,6 +166,8 @@ def main(argv=None) -> int:
                     f"{n}={m['value']:.5g}"
                     for n, m in result["metrics"].items()),
                     file=sys.stderr, flush=True)
+        two_threads["after"] = two_thread_ratio()
+    machine["two_threads"] = two_threads
     metrics = {
         m["name"]: compare(
             [r["metrics"][m["name"]]["value"] for r in runs["parent"]],

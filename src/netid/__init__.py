@@ -1,20 +1,19 @@
 """netid: identify a single module in a dynamic network from node signals.
 
 The package covers the full workflow: transfer functions and network models
-(netid.tf, netid.model), closed-loop simulation through the network's
-state-space realization (netid.model, netid.sim), the exact input-output
-map and the stability verdict (netid.iomap), the classical direct
+(netid.tf, netid.model, which also gives the exact input-output map and
+the stability verdict), closed-loop simulation through the network's
+state-space realization (netid.model, netid.sim), the classical direct
 prediction-error method (netid.direct), the local two-step method that needs
 only a small submatrix of the network response (netid.local), and a
 reproducible experiments harness with a CLI (netid.experiments, netid.cli).
 """
 
 from .tf import FreqGrid, RationalTF
-from .model import (ExcitationSpec, NetworkFormatError, NetworkModel,
-                    SignalRecord, build_case_study, load_network,
-                    save_network)
+from .model import (ExcitationSpec, FreqResponseMatrix, NetworkFormatError,
+                    NetworkModel, SignalRecord, build_case_study,
+                    is_internally_stable, load_network, save_network, true_T)
 from .sim import SimulationDiverged, simulate, simulate_inputs
-from .iomap import FreqResponseMatrix, is_internally_stable, true_T
 from .direct import DirectModelStructure, build_regressor, estimate_direct
 from .local import (estimate_T_entries, fit_parametric, plan_experiment,
                     plan_experiment_for_model, solve_sink_side,

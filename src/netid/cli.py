@@ -28,8 +28,7 @@ from .experiments import (ResultTable, Scenario, check_batch, check_scenario,
                           write_csv, write_scatter_svgs)
 from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS,
                     plan_experiment_for_model)
-from .iomap import true_T
-from .model import ExcitationSpec, default_network_file, load_network
+from .model import ExcitationSpec, default_network_file, load_network, true_T
 from .sim import simulate
 from .tf import FreqGrid
 

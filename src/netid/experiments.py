@@ -11,7 +11,7 @@ Runs execute on a thread pool that returns them in run order, so
 concurrency never affects output.  Threads overlap a run's noise draws and
 FFT and BLAS work, and its simulation kernel's small matrix products only
 in part (two_thread_scaling in benchmarks/BENCH_22.json).  While the pool
-runs, OpenBLAS is held at one thread (netid.blas), so that the pool's
+runs, OpenBLAS is held at one thread (netid.sim), so that the pool's
 threads are the compute threads.  A single local run on the main thread
 factors its T-entry Gram on a second thread (see run_local_pipeline), with
 bit-identical results.
@@ -31,16 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .direct import DirectEstimate, DirectModelStructure, estimate_direct
 from .local import (DEFAULT_FIR_ORDER, DEFAULT_GRID_POINTS, MethodChoice,
                     check_record_length, estimate_T_entries,
                     factor_excitation_gram, fit_parametric,
                     plan_experiment_for_model, solve_sink_side,
                     solve_source_side)
-from .iomap import is_internally_stable, true_T
-from .model import ExcitationSpec, NetworkModel, node_set
-from .sim import _hold_freed_memory, simulate
+from .model import (ExcitationSpec, NetworkModel, is_internally_stable,
+                    node_set, true_T)
+from .sim import _hold_freed_memory, one_blas_thread, simulate
 from .tf import FreqGrid
 
 SCENARIO_FORMAT_VERSION = 1

@@ -47,8 +47,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .iomap import FreqResponseMatrix
-from .model import NetworkModel, SignalRecord, node_set
+from .model import FreqResponseMatrix, NetworkModel, SignalRecord, node_set
 from .tf import FreqGrid
 
 #: Grid points whose local solve exceeds this condition number are dropped.

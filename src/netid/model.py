@@ -5,6 +5,11 @@ hollow matrix of transfer functions in q^-1, r collects known external
 excitations and v unmeasured disturbances.  Edges are stored sparsely as a
 map (j, i) -> transfer function for the module from node i to node j.
 
+The model answers every question about the network itself: its topology,
+its state-space realization, the exact response T = (I - G)^-1 (true_T,
+the ground truth for the local method's solves and for estimator tests)
+and internal stability, judged on the realization the simulator steps.
+
 Node indices are 1-based in every user-facing interface.
 """
 
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tf import RationalTF
+from .tf import FreqGrid, RationalTF, STABILITY_MARGIN
 
 # (I - D0) with condition number above this is treated as singular, where D0
 # is the zero-delay (feedthrough) coefficient matrix.
@@ -306,6 +311,70 @@ class SignalRecord:
         if i in self.excited:
             return self.r[self.excited.index(i)]
         return np.broadcast_to(0.0, (self.N,))
+
+
+@dataclass(frozen=True)
+class FreqResponseMatrix:
+    """Complex samples of a transfer matrix on a grid: values[k, r, c] is the
+    (rows[r], cols[c]) entry at grid omega index k.  Node labels are 1-based."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    grid: FreqGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        expect = (len(self.grid), len(self.rows), len(self.cols))
+        if self.values.shape != expect:
+            raise ValueError(f"values shape {self.values.shape} != {expect}")
+
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """(n_grid, len(rows), len(cols)) array for the given node subsets."""
+        ri = [self.rows.index(j) for j in rows]
+        ci = [self.cols.index(i) for i in cols]
+        return self.values[np.ix_(range(len(self.grid)), ri, ci)]
+
+
+def true_T(model: NetworkModel, rows, cols, grid: FreqGrid) -> FreqResponseMatrix:
+    """Sample T = (I - G)^-1 exactly on a grid, restricted to rows x cols.
+
+    Evaluates G entrywise at each grid frequency and solves the dense
+    (I - G) X = E_cols system.  Raises ValueError naming the first grid
+    frequency where (I - G) is singular.
+    """
+    rows = tuple(int(j) for j in rows)
+    cols = tuple(int(i) for i in cols)
+    for n in rows + cols:
+        _check_node(n, model.L)
+    om = grid.as_array()
+    A = np.eye(model.L) - model.eval_G(om)          # (K, L, L)
+    rhs = np.eye(model.L)[:, [i - 1 for i in cols]]
+    try:
+        X = np.linalg.solve(A, np.broadcast_to(rhs, (len(om),) + rhs.shape))
+    except np.linalg.LinAlgError:
+        dets = np.linalg.det(A)
+        k = int(np.argmin(np.abs(dets)))
+        raise ValueError(f"(I - G) singular at omega = {om[k]!r}") from None
+    values = X[:, [j - 1 for j in rows], :]
+    return FreqResponseMatrix(rows=rows, cols=cols, grid=grid, values=values)
+
+
+def is_internally_stable(model: NetworkModel) -> bool:
+    """True iff the spectral radius of A in model.realization is below
+    1 - STABILITY_MARGIN; a network without states is stable.
+
+    A is what the simulator steps: the module chains closed through the
+    static interconnection (I - D0)^-1.  Internal stability of such an
+    interconnection is stability of A (Zhou, Doyle & Glover, Robust and
+    Optimal Control, 1996), so the verdict covers every mode, hidden ones
+    included.  It differs from the input-output verdict (the poles of T)
+    only where a module's numerator cancels an unstable pole of its own
+    denominator: A keeps that pole, T does not show it.
+    """
+    A = model.realization[0]
+    if A.size == 0:
+        return True
+    return bool(np.abs(np.linalg.eigvals(A)).max() < 1.0 - STABILITY_MARGIN)
 
 
 # -- network file format --------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # A network whose state matrix has spectral radius >= 1 - STABILITY_MARGIN is
-# treated as not stable (netid.iomap); keeps eigenvalue jitter on the unit
+# treated as not stable (netid.model); keeps eigenvalue jitter on the unit
 # circle from flipping verdicts.
 STABILITY_MARGIN = 1e-9
 

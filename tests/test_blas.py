@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from netid import blas
+from netid import sim as blas
 
 
 @pytest.fixture()

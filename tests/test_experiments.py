@@ -169,6 +169,23 @@ class TestScenarioFile:
                                            f"{line.split()[0]!r}")):
             load_scenarios(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("format 1\nformat 1\n", ":2: duplicate format line"),
+        ("format\n", ":1: expected: format <version>"),
+        ("format x\n", ":1: expected: format <version>"),
+        ("format 1\nscenario\n", ":2: expected: scenario <id>"),
+        ("format 1\nscenario a b\n", ":2: expected: scenario <id>"),
+        ("format 1\nscenario x\n  runs 1\n  runs 2\n",
+         ":4: duplicate key 'runs' in scenario x")],
+        ids=["format_twice", "format_bare", "format_word", "scenario_bare",
+             "scenario_two_ids", "key_twice"])
+    def test_line_errors_name_their_line(self, tmp_path, text, message):
+        p = tmp_path / "s.scn"
+        p.write_text(text)
+        with pytest.raises(ScenarioFormatError,
+                           match=re.escape(f"s.scn{message}")):
+            load_scenarios(p)
+
     def test_excite_nodes_are_sorted_and_distinct(self, tmp_path):
         scn = Scenario(id="x", excited_nodes=(5, 3, 3), method="direct",
                        target=(3, 4), runs=1, samples_per_run=10, base_seed=0)
@@ -699,6 +716,27 @@ class TestCLI:
         assert main(["local", "--exact-t"]) == 0
         text = capsys.readouterr().out
         assert "source-side" in text
+
+    def test_local_from_data(self, capsys):
+        assert main(["local", "--samples", "2000", "--fir-order", "60"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("target module (3, 4): source-side solve (excite "
+                            "{3,4,5,6}, measure {3,5,6}, 12 T entries)")
+        assert re.fullmatch(r"  worst T-entry fit score 0\.\d{6} over 12 "
+                            r"entries", lines[1])
+        assert lines[-1].startswith("  coefficients (delays 1..2): [")
+
+    def test_local_target_needs_two_nodes(self, capsys):
+        assert main(["local", "--target", "3"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --target expects 'j,i', got '3'\n"
+
+    def test_report_without_results_names_the_command(self, tmp_path,
+                                                      capsys):
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no results.csv under {tmp_path}; run "
+            f"'netid montecarlo --out {tmp_path}' first\n")
 
     def test_direct(self, capsys):
         assert main(["direct", "--scenario", "1", "--samples", "500",

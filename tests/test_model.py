@@ -1,5 +1,7 @@
 """Network model construction, topology queries, and file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,20 @@ class TestNetworkFile:
         p = tmp_path / "bad.net"
         p.write_text(f"nodes 3\n2 1 0.5 / 1.0\n{edge}\n")
         with pytest.raises(NetworkFormatError, match=r"bad\.net:3: " + problem):
+            load_network(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes x\n", ":1: node count 'x' is not an integer"),
+        ("nodes 0\n", ":1: node count must be >= 1"),
+        ("nodes 2\n2 / 1.0\n",
+         ":2: expected '<j> <i> <num coeffs> / <den coeffs>'"),
+        ("nodes 2\n2 1 0.5 /\n", ":2: empty denominator")],
+        ids=["count_word", "count_zero", "short_edge", "no_denominator"])
+    def test_line_errors_name_their_line(self, tmp_path, text, message):
+        p = tmp_path / "bad.net"
+        p.write_text(text)
+        with pytest.raises(NetworkFormatError,
+                           match=re.escape(f"bad.net{message}")):
             load_network(p)
 
     def test_ill_posed_network_reports_path(self, tmp_path):

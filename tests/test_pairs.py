@@ -1,6 +1,7 @@
 """benchmarks/pairs.py's verdicts on one metric's pairs, on fixed values."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +56,11 @@ def test_narrow_spread_is_resolved(pairs):
     out = pairs.compare(PARENT, list(PARENT), "lower", 0.25)
     assert not out["unresolved"] and not out["worse"] and not out["gain"]
     assert out["wins"] == 0 and out["bound"] == 0.25
+
+
+def test_two_thread_ratio_is_a_positive_finite_ratio(pairs):
+    ratio = pairs.two_thread_ratio(size=2**20)
+    assert math.isfinite(ratio) and ratio > 0
 
 
 def test_src_netid_lines_counts_the_package_modules(pairs, tmp_path):

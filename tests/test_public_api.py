@@ -1,5 +1,6 @@
 """The public names that the documentation and the committed scripts use
-exist in netid, and every name in netid.__all__ is one of them.
+exist in netid, every name in netid.__all__ is one of them, and README's
+Layout names every module of the package.
 
 README's Python examples, the scripts under benchmarks/ and tools/, and
 some steps of perfbench's workloads are not run by the rest of the suite,
@@ -95,3 +96,14 @@ def test_every_public_name_is_used():
     unused = [name for name in netid.__all__ if name not in read
               and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+def test_readme_layout_names_every_module():
+    # a module added, folded away or renamed without its Layout bullet, or
+    # a bullet left for a module that is gone, fails here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `src/netid/(\w+\.py)`", layout, re.M)
+    modules = [path.name for path in (ROOT / "src" / "netid").glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
