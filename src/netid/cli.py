@@ -64,10 +64,11 @@ def _scenarios(args, command: str | None = None) -> list[Scenario]:
 
 
 def _parse_target(text: str) -> tuple[int, int]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ValueError(f"--target expects 'j,i', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    try:
+        j, i = map(int, text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"--target expects 'j,i', got {text!r}") from None
+    return j, i
 
 
 def _cmd_simulate(args) -> int:

@@ -109,6 +109,20 @@ _SCENARIO_KEYS = {
 _REQUIRED_FIELDS = {f.name for f in fields(Scenario) if f.default is MISSING}
 
 
+def _scenario(path, line: int, id: str, values: dict) -> Scenario:
+    """The Scenario of the block whose `scenario` header is on `line`; its
+    missing keys, then Scenario's rules, raise naming that line."""
+    missing = [key for key, (name, _, _) in _SCENARIO_KEYS.items()
+               if name in _REQUIRED_FIELDS and name not in values]
+    try:
+        if missing:
+            raise ValueError(f"scenario {id} is missing keys: "
+                             f"{', '.join(sorted(missing))}")
+        return Scenario(id=id, **values)
+    except ValueError as e:
+        raise _scn_error(path, line, str(e)) from None
+
+
 def load_scenarios(path) -> list[Scenario]:
     """Parse a scenario file.
 
@@ -119,35 +133,15 @@ def load_scenarios(path) -> list[Scenario]:
     their line number; a value that breaks a Scenario rule, with the line
     of its block's `scenario` header.
     """
-    text = Path(path).read_text()
     scenarios: list[Scenario] = []
-    current_id: str | None = None
-    current: dict = {}
-    current_line = 0
+    block = None   # (header line, id, values) of the block being read
     seen_version = False
-    ids = set()
-
-    def finish():
-        if current_id is None:
-            return
-        missing = [key for key, (name, _, _) in _SCENARIO_KEYS.items()
-                   if name in _REQUIRED_FIELDS and name not in current]
-        if missing:
-            raise _scn_error(path, current_line,
-                             f"scenario {current_id} is missing keys: "
-                             f"{', '.join(sorted(missing))}")
-        try:
-            scenarios.append(Scenario(id=current_id, **current))
-        except ValueError as e:
-            raise _scn_error(path, current_line, str(e)) from None
-
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
+        key, *args = line.split()
         if key == "format":
             if seen_version:
                 raise _scn_error(path, lineno, "duplicate format line")
@@ -166,33 +160,33 @@ def load_scenarios(path) -> list[Scenario]:
         if key == "scenario":
             if len(args) != 1:
                 raise _scn_error(path, lineno, "expected: scenario <id>")
-            finish()
-            current_id = args[0]
-            if current_id in ids:
+            if block:
+                scenarios.append(_scenario(path, *block))
+            if any(s.id == args[0] for s in scenarios):
                 raise _scn_error(path, lineno,
-                                 f"duplicate scenario id {current_id}")
-            ids.add(current_id)
-            current = {}
-            current_line = lineno
+                                 f"duplicate scenario id {args[0]}")
+            block = (lineno, args[0], {})
             continue
-        if current_id is None:
+        if not block:
             raise _scn_error(path, lineno,
                              f"key {key!r} before any 'scenario' line")
         if key not in _SCENARIO_KEYS:
             raise _scn_error(path, lineno, f"unknown key {key!r}")
+        _, id, values = block
         name, count, convert = _SCENARIO_KEYS[key]
-        if name in current:
+        if name in values:
             raise _scn_error(path, lineno,
-                             f"duplicate key {key!r} in scenario {current_id}")
+                             f"duplicate key {key!r} in scenario {id}")
         try:
             if not args or count and len(args) != count:
                 raise ValueError
-            current[name] = convert(args[0] if count == 1 else args)
+            values[name] = convert(args[0] if count == 1 else args)
         except ValueError:
             raise _scn_error(path, lineno,
                              f"invalid value for {key!r}: {' '.join(args)!r}"
                              ) from None
-    finish()
+    if block:
+        scenarios.append(_scenario(path, *block))
     if not scenarios:
         raise _scn_error(path, max(len(lines), 1), "no scenarios in file")
     return scenarios
@@ -398,9 +392,8 @@ def run_monte_carlo(scenario: Scenario, model: NetworkModel,
 
 @dataclass(frozen=True, eq=False)
 class ModuleEstimate:
-    """End-to-end local-method output for one target module."""
+    """End-to-end local-method output for the target module plan.target."""
 
-    target: tuple[int, int]
     band: tuple[int, int]
     coefficients: np.ndarray
     plan: MethodChoice
@@ -494,10 +487,9 @@ def run_local_pipeline(model: NetworkModel, target: tuple[int, int],
 
     coefficients = _stage("fit", fit_parametric, solved.module_samples(j, i),
                           band, grid=solved.grid)
-    return ModuleEstimate(
-        target=(j, i), band=band, coefficients=coefficients,
-        plan=plan, entry_fit_scores=fit_scores,
-        dropped_points=solved.dropped_points)
+    return ModuleEstimate(band=band, coefficients=coefficients, plan=plan,
+                          entry_fit_scores=fit_scores,
+                          dropped_points=solved.dropped_points)
 
 
 # -- result emission ------------------------------------------------------------

@@ -90,10 +90,6 @@ class MethodChoice:
     excite_set: tuple[int, ...]
     measure_set: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.which not in ("source", "sink"):
-            raise ValueError("which must be 'source' or 'sink'")
-
     @property
     def entry_count(self) -> int:
         """T entries the chosen side estimates: d (1 + d) on either side."""
@@ -122,17 +118,12 @@ def plan_experiment(target: tuple[int, int],
             f"target module ({j},{i}) is not present in the provided local "
             f"topology: need {j} among the source's out-neighbors and {i} "
             f"among the sink's in-neighbors")
-    d_out = len(out_nbrs)
-    d_in = len(in_nbrs)
-    if d_out <= d_in:
-        return MethodChoice(
-            target=(j, i), which="source",
-            excite_set=node_set(out_nbrs + (i,)),
-            measure_set=out_nbrs)
-    return MethodChoice(
-        target=(j, i), which="sink",
-        excite_set=in_nbrs,
-        measure_set=node_set(in_nbrs + (j,)))
+    if len(out_nbrs) <= len(in_nbrs):
+        return MethodChoice((j, i), "source",
+                            excite_set=node_set(out_nbrs + (i,)),
+                            measure_set=out_nbrs)
+    return MethodChoice((j, i), "sink", excite_set=in_nbrs,
+                        measure_set=node_set(in_nbrs + (j,)))
 
 
 def plan_experiment_for_model(model: NetworkModel,

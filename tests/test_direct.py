@@ -1,5 +1,7 @@
 """Direct prediction-error method: regressor construction and least squares."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ class TestStructure:
         with pytest.raises(ValueError, match="itself"):
             DirectModelStructure(target_node=2, regressor_nodes=(2,),
                                  bands=((0, 1),))
+        with pytest.raises(ValueError,
+                           match="^at least one regressor node is required$"):
+            DirectModelStructure(target_node=3, regressor_nodes=(), bands=())
+        with pytest.raises(ValueError, match=re.escape(
+                "one (first_delay, last_delay) band per regressor node")):
+            DirectModelStructure(target_node=3, regressor_nodes=(1, 2),
+                                 bands=((1, 2),))
 
     def test_node_zero_rejected(self):
         with pytest.raises(ValueError, match="1-based"):

@@ -120,6 +120,17 @@ class TestScenarioFile:
         with pytest.raises(ScenarioFormatError, match="missing keys"):
             load_scenarios(p)
 
+    def test_first_block_error_reported_before_a_later_one(self, tmp_path):
+        # block x (line 2) lacks seed; block y's unknown key on line 10 is
+        # read only after the header that closes x
+        p = tmp_path / "s.scn"
+        p.write_text("format 1\nscenario x\n  excite 1\n  method direct\n"
+                     "  target 3 4\n  runs 1\n  samples 10\n"
+                     "scenario y\n  excite 1\n  turbo on\n")
+        with pytest.raises(ScenarioFormatError, match=re.escape(
+                "s.scn:2: scenario x is missing keys: seed")):
+            load_scenarios(p)
+
     def test_invalid_node_index(self, tmp_path):
         p = tmp_path / "s.scn"
         p.write_text("format 1\nscenario x\n  excite 0 1\n")
@@ -726,10 +737,12 @@ class TestCLI:
                             r"entries", lines[1])
         assert lines[-1].startswith("  coefficients (delays 1..2): [")
 
-    def test_local_target_needs_two_nodes(self, capsys):
-        assert main(["local", "--target", "3"]) == 1
+    @pytest.mark.parametrize("command", ["local", "truth"])
+    @pytest.mark.parametrize("value", ["3", "3,4,5", "3,x", "3.5,4"])
+    def test_target_needs_two_integer_nodes(self, capsys, command, value):
+        assert main([command, "--target", value]) == 1
         assert capsys.readouterr().err == \
-            "error: --target expects 'j,i', got '3'\n"
+            f"error: --target expects 'j,i', got {value!r}\n"
 
     def test_report_without_results_names_the_command(self, tmp_path,
                                                       capsys):
@@ -1095,6 +1108,9 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: [plan] record too short: 100 samples <= FIR order 150")
+        assert main(["local", "--samples", "2000", "--fir-order", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "error: [plan] fir_order must be at least 1\n"
         assert simulated == []
 
     @pytest.mark.parametrize("exact", [False, True])

@@ -117,7 +117,11 @@ class TestEstimateTEntries:
         for rows, cols, problem in (((0,), (1,), "1-based"),
                                     ((2,), (0,), "1-based"),
                                     ((3,), (1,), "node 3 outside 1..2"),
-                                    ((2,), (3,), "node 3 outside 1..2")):
+                                    ((2,), (3,), "node 3 outside 1..2"),
+                                    ((), (1,), "rows and cols must be "
+                                               "nonempty"),
+                                    ((2,), (), "rows and cols must be "
+                                               "nonempty")):
             with pytest.raises(ValueError, match=problem):
                 estimate_T_entries(record, rows=rows, cols=cols, fir_order=5)
 
@@ -387,6 +391,9 @@ class TestSolves:
         tmat = _exact_T_for_plan(case_study, plan)
         with pytest.raises(ValueError, match="no out-neighbors"):
             solve_source_side(tmat, 4, ())
+        with pytest.raises(ValueError,
+                           match="^sink node 3 has no in-neighbors$"):
+            solve_sink_side(tmat, 3, ())
 
 
 class TestFitParametric:
@@ -416,6 +423,9 @@ class TestFitParametric:
         with pytest.raises(ValueError, match="grid"):
             fit_parametric(np.zeros(10, dtype=complex), (0, 1),
                            grid=FreqGrid.uniform(5))
+        with pytest.raises(ValueError,
+                           match="^samples must be a 1-D complex sequence$"):
+            fit_parametric(np.zeros((10, 2), dtype=complex), (0, 1))
 
     def test_feedthrough_band(self):
         om = FreqGrid.uniform(40).as_array()

@@ -244,6 +244,10 @@ class TestSignalRecord:
                            (np.zeros(5), (1,))):
             with pytest.raises(ValueError, match="r must be"):
                 SignalRecord(w=w, r=r, excited=excited, seed=0)
+        with pytest.raises(ValueError,
+                           match=re.escape("w must be (L, N), got shape (4,)")):
+            SignalRecord(w=np.zeros(4), r=np.zeros((1, 4)), excited=(1,),
+                         seed=0)
 
     def test_excited_nodes_validation(self):
         w = np.zeros((2, 5))

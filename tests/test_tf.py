@@ -24,6 +24,9 @@ class TestPolyQ:
             PolyQ([1.0, np.inf])
         with pytest.raises(ValueError):
             PolyQ([np.nan])
+        with pytest.raises(ValueError,
+                           match="^coefficient list must be nonempty$"):
+            PolyQ([])
 
     def test_evaluation_matches_polyval(self):
         rng = np.random.default_rng(5)
@@ -91,3 +94,6 @@ class TestFreqGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FreqGrid.uniform(0)
+        with pytest.raises(ValueError,
+                           match="^frequency grid must be nonempty$"):
+            FreqGrid([])
